@@ -9,9 +9,15 @@
 namespace alert {
 
 OracleScheduler::OracleScheduler(const ConfigSpace& space, const Goals& goals,
-                                 std::span<const ExecutionContext> contexts)
-    : space_(space), goals_(goals), contexts_(contexts) {
+                                 std::span<const ExecutionContext> contexts,
+                                 const TrueLatencyTable* true_latencies)
+    : space_(space), goals_(goals), contexts_(contexts), true_latencies_(true_latencies) {
   ALERT_CHECK(goals_.Valid());
+  if (true_latencies_ != nullptr) {
+    ALERT_CHECK(true_latencies_->num_inputs() == static_cast<int>(contexts_.size()) &&
+                true_latencies_->num_models() == space_.num_models() &&
+                true_latencies_->num_powers() == space_.num_powers());
+  }
 }
 
 SchedulingDecision OracleScheduler::Decide(const InferenceRequest& request) {
@@ -42,7 +48,11 @@ SchedulingDecision OracleScheduler::Decide(const InferenceRequest& request) {
       d.candidate = space_.candidate(ci);
       d.power_index = pi;
       d.power_cap = space_.cap(pi);
-      const Measurement m = sim.Execute(d.ToExecRequest(request), ctx);
+      const Seconds t_full =
+          true_latencies_ != nullptr
+              ? true_latencies_->at(request.input_index, d.candidate.model_index, pi)
+              : sim.TrueLatency(d.candidate.model_index, d.power_cap, ctx);
+      const Measurement m = sim.ExecuteWithLatency(d.ToExecRequest(request), ctx, t_full);
 
       const double met = m.deadline_met ? 1.0 : 0.0;
       const bool better_fallback =

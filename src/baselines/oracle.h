@@ -22,9 +22,12 @@ namespace alert {
 class OracleScheduler final : public Scheduler {
  public:
   // `contexts` is the trace's ground truth, indexed by input; all referents must
-  // outlive the scheduler.
+  // outlive the scheduler.  `true_latencies`, when non-null, is the memoized
+  // TrueLatency of `space`'s simulator over exactly those contexts and `space`'s caps;
+  // decisions are identical with or without it — it only skips recomputation.
   OracleScheduler(const ConfigSpace& space, const Goals& goals,
-                  std::span<const ExecutionContext> contexts);
+                  std::span<const ExecutionContext> contexts,
+                  const TrueLatencyTable* true_latencies = nullptr);
 
   SchedulingDecision Decide(const InferenceRequest& request) override;
   void Observe(const SchedulingDecision& decision, const Measurement& m) override;
@@ -34,6 +37,7 @@ class OracleScheduler final : public Scheduler {
   const ConfigSpace& space_;
   Goals goals_;
   std::span<const ExecutionContext> contexts_;
+  const TrueLatencyTable* true_latencies_;
 
   // Budget pacing for accuracy-maximization: the energy budget is cumulative (a battery
   // bound), so the oracle may bank surplus from cheap inputs and spend it on expensive

@@ -8,12 +8,17 @@
 // Run() executes the Section 3.2 loop — deadline policy, Decide, Execute, Observe —
 // and aggregates the metrics the paper reports: average energy per input, average
 // error (and perplexity for NLP), and the fraction of inputs violating the goals.
+// The experiment also holds the ground-truth caches both clairvoyant baselines read
+// (TrueLatencies, StaticRuns), each built on first use.
 #ifndef SRC_HARNESS_EXPERIMENT_H_
 #define SRC_HARNESS_EXPERIMENT_H_
 
+#include <array>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -106,6 +111,29 @@ struct RunResult {
   std::vector<InputRecord> records;  // filled only when requested
 };
 
+// One static configuration replayed over a trace under one deadline, reduced to what
+// every goal setting with that deadline needs (FindStaticOracle).  The deadline alone
+// fixes every per-input measurement of a static run — also under
+// SentenceSharedDeadlinePolicy, whose deadline history depends only on the
+// configuration and the per-word budget — so of the RunResult only the violation
+// count depends on the rest of the goals.  It is recovered from how many inputs
+// delivered each accuracy value in time and late.
+struct StaticRunSummary {
+  struct AccuracyBin {
+    double accuracy = 0.0;  // one delivered accuracy value
+    int met = 0;            // inputs that delivered it by their deadline
+    int unmet = 0;          // inputs that delivered it late
+  };
+
+  Configuration config;
+  RunResult result;  // every field except violation_fraction; no records
+  std::vector<AccuracyBin> bins;
+
+  // The RunResult RunStatic(config, goals) returns, bit for bit.  `goals.deadline`
+  // must be the deadline the summary was replayed under.
+  RunResult ResultFor(const Goals& goals) const;
+};
+
 // Whether a whole run fails its constraint setting — the Table 4 accounting unit: a
 // scheme "incurs more than 10% violation of all inputs".  A per-input violation is a
 // deadline miss, a delivered accuracy below the goal (energy-minimization mode), or a
@@ -154,14 +182,49 @@ class Experiment {
 
   // Whether an input's measurement violates a per-input-checkable constraint.
   static bool Violates(const Goals& goals, const Measurement& m);
+  // The same rule over the only two measurement fields it reads.
+  static bool Violates(const Goals& goals, double accuracy, bool deadline_met);
+
+  // Ground-truth caches shared by both clairvoyant baselines (docs/ARCHITECTURE.md).
+  // Each is built once, on first use, and is then read concurrently by any number of
+  // threads; it lives as long as the experiment.  `stack` must be one of this
+  // experiment's stacks.
+  //
+  // TrueLatency of `stack`'s simulator for every (input, model, cap) of the trace —
+  // what MakeScheduler hands the Oracle.
+  const TrueLatencyTable& TrueLatencies(const Stack& stack) const;
+  // RunStatic of every configuration of `stack`'s space, candidate-major then power,
+  // under deadline `deadline` — what FindStaticOracle searches.
+  std::span<const StaticRunSummary> StaticRuns(const Stack& stack, Seconds deadline) const;
 
  private:
+  // The Section 3.2 loop under `deadline`: fills every RunResult field except
+  // violation_fraction and records, and hands each input's decision and measurement
+  // to `on_input`.
+  template <typename OnInput>
+  RunResult Replay(const Stack& stack, Scheduler& scheduler, Seconds deadline,
+                   OnInput&& on_input) const;
+  size_t StackIndex(const Stack& stack) const;
+
   TaskId task_;
   ContentionType contention_;
   const PlatformSpec& platform_;
   ExperimentOptions options_;
   EnvironmentTrace trace_;
   std::vector<std::unique_ptr<Stack>> stacks_;  // indexed by DnnSetChoice
+
+  struct LatencyCache {
+    std::once_flag built;
+    std::unique_ptr<const TrueLatencyTable> table;
+  };
+  struct StaticRunsCache {
+    std::once_flag built;
+    std::vector<StaticRunSummary> runs;
+  };
+  mutable std::array<LatencyCache, 3> latency_caches_;  // indexed like stacks_
+  mutable std::mutex static_runs_mutex_;                 // guards the map, not entries
+  mutable std::map<std::pair<size_t, Seconds>, std::unique_ptr<StaticRunsCache>>
+      static_runs_;
 };
 
 }  // namespace alert

@@ -90,7 +90,8 @@ std::unique_ptr<Scheduler> MakeScheduler(SchemeId id, const Experiment& experime
       return std::make_unique<NoCoordScheduler>(stack.engine(), goals);
     case SchemeId::kOracle:
       return std::make_unique<OracleScheduler>(stack.space(), goals,
-                                               experiment.trace().inputs);
+                                               experiment.trace().inputs,
+                                               &experiment.TrueLatencies(stack));
   }
   ALERT_CHECK(false);
   return nullptr;

@@ -38,7 +38,9 @@ DnnSetChoice SchemeDnnSet(SchemeId id);
 // Builds a fresh scheduler (fresh feedback state) for one constraint setting.
 // `cache` (default off ⇒ the exact historical behavior) applies decision
 // memoization to the ALERT-family schemes; the fixed-configuration baselines and
-// the clairvoyant Oracle ignore it — they have no per-input rescore to skip.
+// the clairvoyant Oracle ignore it — they have no per-input rescore to skip.  The
+// Oracle instead reads `experiment`'s memoized true latencies (TrueLatencies), built
+// on first use and shared by every Oracle of the experiment.
 std::unique_ptr<Scheduler> MakeScheduler(SchemeId id, const Experiment& experiment,
                                          const Goals& goals,
                                          const DecisionCachePolicy& cache = {});

@@ -1,5 +1,6 @@
 #include "src/harness/sweep_runner.h"
 
+#include <algorithm>
 #include <chrono>
 #include <map>
 #include <memory>
@@ -49,6 +50,83 @@ ExperimentOptions MakeExperimentOptions(const SweepSpec& spec, uint64_t seed) {
   return options;
 }
 
+// Builds the experiments' ground-truth caches that `units` read — static runs per
+// (experiment, deadline) for static-oracle units, the true-latency table for Oracle
+// units — in one parallel pass, largest first.  Left to be built lazily inside the
+// setting groups, groups sharing a deadline (adjacent in group order) would wait on
+// whichever thread reached it first.  A build not yet started when `cancelled`
+// returns true is skipped.  Returns each unit's share of the build time (a build's
+// wall time split evenly over the units that read it), indexed like `units`, so
+// streamed unit timings still account for all the work.
+std::vector<double> PrebuildGroundTruth(
+    std::span<const SweepUnit> units,
+    const std::map<ExperimentKey, std::unique_ptr<Experiment>>& experiments,
+    const std::map<GridKey, std::vector<Goals>>& grids, int threads,
+    const std::function<bool()>& cancelled) {
+  struct Build {
+    const Experiment* experiment;
+    const Stack* stack;
+    Seconds deadline;  // static runs under this deadline; 0 = the true-latency table
+    double cost;       // simulator evaluations the build makes
+    std::vector<size_t> readers;  // positions in `units`
+    double ms = 0.0;
+  };
+  std::vector<Build> builds;
+  std::map<std::tuple<const Experiment*, const Stack*, Seconds>, size_t> index;
+  for (size_t pos = 0; pos < units.size(); ++pos) {
+    const SweepUnit& unit = units[pos];
+    const Experiment& experiment = *experiments.at(KeyOf(unit));
+    const double inputs = static_cast<double>(experiment.trace().num_inputs());
+    Build build{&experiment, nullptr, 0.0, 0.0, {}, 0.0};
+    if (unit.kind == SweepUnitKind::kStaticOracle) {
+      build.stack = &experiment.stack(DnnSetChoice::kBoth);
+      build.deadline =
+          grids.at(GridKeyOf(unit.cell))[static_cast<size_t>(unit.grid_index)].deadline;
+      build.cost = build.stack->space().num_configurations() * inputs;
+    } else if (unit.scheme == SchemeId::kOracle) {
+      build.stack = &experiment.stack(SchemeDnnSet(unit.scheme));
+      build.cost = build.stack->space().num_models() * build.stack->space().num_powers() *
+                   inputs;
+    } else {
+      continue;
+    }
+    const auto [it, inserted] =
+        index.try_emplace({build.experiment, build.stack, build.deadline}, builds.size());
+    if (inserted) {
+      builds.push_back(std::move(build));
+    }
+    builds[it->second].readers.push_back(pos);
+  }
+  std::stable_sort(builds.begin(), builds.end(),
+                   [](const Build& a, const Build& b) { return a.cost > b.cost; });
+  ParallelFor(
+      static_cast<int>(builds.size()),
+      [&](int i) {
+        Build& build = builds[static_cast<size_t>(i)];
+        if (cancelled()) {
+          return;
+        }
+        const auto t0 = std::chrono::steady_clock::now();
+        if (build.deadline > 0.0) {
+          build.experiment->StaticRuns(*build.stack, build.deadline);
+        } else {
+          build.experiment->TrueLatencies(*build.stack);
+        }
+        build.ms = std::chrono::duration<double, std::milli>(
+                       std::chrono::steady_clock::now() - t0)
+                       .count();
+      },
+      threads);
+
+  std::vector<double> share_ms(units.size(), 0.0);
+  for (const Build& build : builds) {
+    for (const size_t pos : build.readers) {
+      share_ms[pos] += build.ms / static_cast<double>(build.readers.size());
+    }
+  }
+  return share_ms;
+}
+
 }  // namespace
 
 std::vector<SweepUnitResult> RunSweepUnits(const SweepPlan& plan,
@@ -90,6 +168,21 @@ std::vector<SweepUnitResult> RunSweepUnits(const SweepPlan& plan,
     ALERT_CHECK(static_cast<size_t>(unit.grid_index) < grid.size());
   }
 
+  std::mutex stream_mutex;
+  const std::function<bool()> cancelled = [&] {
+    if (!options.should_cancel) {
+      return false;
+    }
+    // Checked under the stream mutex: the cancel source (the dispatch worker's
+    // revoke drain) is shared with on_result and is not thread-safe on its own.
+    const std::lock_guard<std::mutex> lock(stream_mutex);
+    return options.should_cancel();
+  };
+
+  // Each unit's timing starts from its share of the ground-truth builds it reads.
+  std::vector<double> unit_ms =
+      PrebuildGroundTruth(units, experiments, grids, options.threads, cancelled);
+
   std::vector<const SettingGroup*> group_list;
   group_list.reserve(groups.size());
   for (const auto& [key, group] : groups) {
@@ -97,20 +190,12 @@ std::vector<SweepUnitResult> RunSweepUnits(const SweepPlan& plan,
   }
 
   std::vector<SweepUnitResult> results(units.size());
-  std::vector<double> unit_ms(units.size(), 0.0);
-  std::mutex stream_mutex;
   ParallelFor(
       static_cast<int>(group_list.size()),
       [&](int g) {
         const SettingGroup& group = *group_list[static_cast<size_t>(g)];
-        if (options.should_cancel) {
-          // Checked under the stream mutex: the cancel source (the dispatch
-          // worker's revoke drain) is shared with on_result and is not
-          // thread-safe on its own.
-          const std::lock_guard<std::mutex> lock(stream_mutex);
-          if (options.should_cancel()) {
-            return;  // leave the group's result slots default-initialized
-          }
+        if (cancelled()) {
+          return;  // leave the group's result slots default-initialized
         }
         const auto group_clock = [] { return std::chrono::steady_clock::now(); };
         const auto ms_between = [](std::chrono::steady_clock::time_point a,
@@ -132,7 +217,7 @@ std::vector<SweepUnitResult> RunSweepUnits(const SweepPlan& plan,
           const auto t0 = group_clock();
           const StaticOracleResult static_best = FindStaticOracle(
               experiment, experiment.stack(DnnSetChoice::kBoth), goals);
-          unit_ms[static_cast<size_t>(group.static_pos)] = ms_between(t0, group_clock());
+          unit_ms[static_cast<size_t>(group.static_pos)] += ms_between(t0, group_clock());
           SweepUnitResult& out = results[static_cast<size_t>(group.static_pos)];
           out.unit_id = unit.id;
           out.usable = static_best.feasible;
@@ -149,13 +234,14 @@ std::vector<SweepUnitResult> RunSweepUnits(const SweepPlan& plan,
           if (static_infeasible) {
             // The merge plane drops this setting wholesale; don't spend the run.
             out.skipped = true;
+            unit_ms[static_cast<size_t>(pos)] = 0.0;
             continue;
           }
           const auto t0 = group_clock();
           auto scheduler = MakeScheduler(unit.scheme, experiment, goals);
           const RunResult run = experiment.Run(
               experiment.stack(SchemeDnnSet(unit.scheme)), *scheduler, goals);
-          unit_ms[static_cast<size_t>(pos)] = ms_between(t0, group_clock());
+          unit_ms[static_cast<size_t>(pos)] += ms_between(t0, group_clock());
           if (!SettingViolated(goals, run)) {
             out.usable = true;
             out.metric = MetricValue(mode, task, run);

@@ -1,10 +1,11 @@
 // Execution and merge plane for sharded constraint-grid sweeps.
 //
 // `RunSweepUnits` executes any subset of a plan's units in-process — one shard, or the
-// whole plan — sharing Experiments (trace + stacks) across units of the same
-// (task, platform, contention, seed) and parallelizing across constraint settings with
-// ParallelFor.  Every unit is a pure function of (plan spec, unit fields), so the
-// results are independent of thread count, unit order, and how the plan was sharded.
+// whole plan — sharing Experiments (trace + stacks + ground-truth caches) across units
+// of the same (task, platform, contention, seed) and parallelizing across constraint
+// settings with ParallelFor.  Every unit is a pure function of (plan spec, unit
+// fields), so the results are independent of thread count, unit order, and how the
+// plan was sharded.
 //
 // `SweepMergeAccumulator` is the single aggregation implementation: it accepts
 // per-unit results one at a time — in any order, from any number of shards or remote
@@ -41,8 +42,9 @@ struct SweepRunOptions {
   const ProfileSnapshotStore* warm_start = nullptr;
 
   // Streaming hook: invoked once per finished unit, as soon as its setting group
-  // completes.  `unit_ms` is the unit's observed wall time on this machine (the
-  // dispatch worker streams it back as cost-model feedback; 0.0 for skipped units).
+  // completes.  `unit_ms` is the unit's observed wall time on this machine, including
+  // its share of the ground-truth caches built for it up front (the dispatch worker
+  // streams it back as cost-model feedback; 0.0 for skipped units).
   // Calls are serialized under an internal mutex but their order across setting
   // groups is nondeterministic (it follows ParallelFor completion order); consumers
   // that need determinism must key on result.unit_id, as the merge plane does.  The
@@ -51,7 +53,7 @@ struct SweepRunOptions {
   std::function<void(const SweepUnitResult& result, double unit_ms)> on_result;
 
   // Cooperative cancellation: polled (serialized under the same internal mutex as
-  // on_result) before each setting group starts.  Once it returns true, groups that
+  // on_result) before each ground-truth build and each setting group starts.  Once it returns true, groups that
   // have not started are neither executed nor streamed — their slots in the returned
   // vector stay default-initialized (unit_id == -1).  Groups already running finish
   // and stream normally.  The dispatch worker wires this to lease revocation.

@@ -54,10 +54,16 @@ Seconds PlatformSimulator::TrueLatency(int model_index, Watts cap,
 
 Measurement PlatformSimulator::Execute(const ExecRequest& request,
                                        const ExecutionContext& ctx) const {
+  return ExecuteWithLatency(request, ctx,
+                            TrueLatency(request.model_index, request.power_cap, ctx));
+}
+
+Measurement PlatformSimulator::ExecuteWithLatency(const ExecRequest& request,
+                                                  const ExecutionContext& ctx,
+                                                  Seconds t_full) const {
   const DnnModel& m = model(request.model_index);
   ALERT_CHECK(request.deadline > 0.0);
 
-  const Seconds t_full = TrueLatency(request.model_index, request.power_cap, ctx);
   const Seconds deadline = request.deadline;
   const double q_fail = TaskRandomGuessAccuracy(m.task);
 
@@ -148,6 +154,22 @@ Measurement PlatformSimulator::Execute(const ExecRequest& request,
   out.period = actual_period;
   out.energy = out.inference_power * run_time + out.idle_power * idle_time;
   return out;
+}
+
+TrueLatencyTable::TrueLatencyTable(const PlatformSimulator& sim, std::span<const Watts> caps,
+                                   std::span<const ExecutionContext> contexts)
+    : num_models_(static_cast<int>(sim.models().size())),
+      num_powers_(static_cast<int>(caps.size())),
+      num_inputs_(static_cast<int>(contexts.size())) {
+  values_.reserve(static_cast<size_t>(num_inputs_) * static_cast<size_t>(num_models_) *
+                  static_cast<size_t>(num_powers_));
+  for (const ExecutionContext& ctx : contexts) {
+    for (int model = 0; model < num_models_; ++model) {
+      for (const Watts cap : caps) {
+        values_.push_back(sim.TrueLatency(model, cap, ctx));
+      }
+    }
+  }
 }
 
 }  // namespace alert

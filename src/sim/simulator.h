@@ -68,8 +68,15 @@ class PlatformSimulator {
   PlatformSimulator(const PlatformSpec& platform, std::span<const DnnModel> models);
 
   // Runs one inference under the given environment.  Pure function of its arguments —
-  // the harness replays identical contexts across schedulers.
+  // the harness replays identical contexts across schedulers.  Equivalent to
+  // ExecuteWithLatency over TrueLatency(request.model_index, request.power_cap, ctx).
   Measurement Execute(const ExecRequest& request, const ExecutionContext& ctx) const;
+
+  // The deadline-dependent tail of Execute, given the request's true full-network
+  // latency `t_full` (as TrueLatency returns it).  Callers that replay one
+  // (model, cap, input) under many deadlines memoize `t_full` (TrueLatencyTable).
+  Measurement ExecuteWithLatency(const ExecRequest& request, const ExecutionContext& ctx,
+                                 Seconds t_full) const;
 
   // Nominal profile latency: model under `cap`, no contention, unit input.
   Seconds NominalLatency(int model_index, Watts cap) const;
@@ -92,6 +99,32 @@ class PlatformSimulator {
  private:
   const PlatformSpec& platform_;
   std::span<const DnnModel> models_;
+};
+
+// TrueLatency for every (input, model, power cap) of a trace: the deadline-independent
+// half of Execute, computed once.  Entries are exactly the values TrueLatency returns.
+// Laid out input-major so one input's models x caps are contiguous — the clairvoyant
+// Oracle scans exactly that block per decision.
+class TrueLatencyTable {
+ public:
+  TrueLatencyTable(const PlatformSimulator& sim, std::span<const Watts> caps,
+                   std::span<const ExecutionContext> contexts);
+
+  Seconds at(int input_index, int model_index, int power_index) const {
+    return values_[(static_cast<size_t>(input_index) * static_cast<size_t>(num_models_) +
+                    static_cast<size_t>(model_index)) *
+                       static_cast<size_t>(num_powers_) +
+                   static_cast<size_t>(power_index)];
+  }
+  int num_inputs() const { return num_inputs_; }
+  int num_models() const { return num_models_; }
+  int num_powers() const { return num_powers_; }
+
+ private:
+  int num_models_;
+  int num_powers_;
+  int num_inputs_;
+  std::vector<Seconds> values_;
 };
 
 }  // namespace alert
