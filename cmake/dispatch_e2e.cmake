@@ -5,9 +5,8 @@
 #   3. ditto under failure injection: a worker killed mid-lease (--inject-fail), a
 #      silent worker tripping the straggler deadline (--inject-hang), and a slow
 #      worker whose lease gets stolen (--inject-delay with a small lease target);
-#   4. ditto with --static-leases (the pre-pull baseline path stays supported);
-#   5. ditto with --pipeline-leases (grant N+1 while N drains);
-#   6. kill-the-dispatcher-then-resume: --crash-after exits nonzero mid-sweep, a
+#   4. ditto with --pipeline-leases (grant N+1 while N drains);
+#   5. kill-the-dispatcher-then-resume: --crash-after exits nonzero mid-sweep, a
 #      rerun with the same --checkpoint-dir preseeds the surviving checkpoint and
 #      finishes; the resumed CSV is byte-compared to mono.csv on every transport,
 #      and a deliberately corrupted checkpoint must be a hard error, not a silent
@@ -89,11 +88,6 @@ foreach(k 2 4 8)
            --target-lease-ms=200 --out=dispatched_k${k}.csv)
   compare_files(mono.csv dispatched_k${k}.csv)
 endforeach()
-
-# Static leases: the pre-pull baseline (whole LPT shards, no stealing) stays exact.
-run_step(${SWEEP_DISPATCH} --spec=spec.txt --workers=3 --transport=inprocess
-         --static-leases --strategy=cost-weighted --out=dispatched_static.csv)
-compare_files(mono.csv dispatched_static.csv)
 
 # Command transport: the worker command is a shell template ({worker} expands to the
 # launch index) — locally it just execs sweep_shard, remotely it would be ssh.

@@ -1,5 +1,5 @@
-// Minimal data-parallel loop for embarrassingly parallel work: harness experiment
-// sweeps and the multi-job coordinator's per-family scoring rounds.
+// Minimal data-parallel loop for embarrassingly parallel work: the harness's
+// per-setting experiment sweeps.
 #ifndef SRC_COMMON_PARALLEL_H_
 #define SRC_COMMON_PARALLEL_H_
 

@@ -154,31 +154,4 @@ void DecisionCache::Invalidate() {
   lru_.clear();
 }
 
-size_t DecisionCache::InvalidateGoals(const Goals& goals) {
-  // Goal fields are keyed exactly in both modes (MakeKey never buckets them), so the
-  // match below is the same predicate the key equality uses.  DecisionInputs mirrors
-  // prob_threshold into the percentile field (AlertScheduler::MakeInputs), so it is
-  // matched as part of the goal identity too.
-  const uint64_t accuracy_goal = ExactBits(goals.accuracy_goal);
-  const uint64_t energy_budget = ExactBits(goals.energy_budget);
-  const uint64_t prob_threshold = ExactBits(goals.prob_threshold);
-  const uint64_t percentile = ExactBits(goals.prob_threshold);
-  const int32_t mode = static_cast<int32_t>(goals.mode);
-  size_t dropped = 0;
-  for (auto it = lru_.begin(); it != lru_.end();) {
-    const Key& key = it->first;
-    if (key.mode == mode && key.accuracy_goal == accuracy_goal &&
-        key.energy_budget == energy_budget && key.prob_threshold == prob_threshold &&
-        key.percentile == percentile) {
-      map_.erase(key);
-      it = lru_.erase(it);
-      ++dropped;
-    } else {
-      ++it;
-    }
-  }
-  stats_.stale += dropped;
-  return dropped;
-}
-
 }  // namespace alert

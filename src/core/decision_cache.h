@@ -3,10 +3,10 @@
 // ALERT re-scores the full (candidate x power-cap) grid on every input, but the xi
 // belief drifts slowly between frames — consecutive decisions usually see inputs that
 // are identical (converged belief, fixed deadline) or nearly so.  This cache sits
-// between a decision-maker (AlertScheduler::Decide, MultiJobCoordinator's allocation
-// passes) and the engine: it maps a *key* derived from everything a selection depends
-// on — the DecisionInputs snapshot, the goals, the energy allowance, and the power
-// limit — to the Selection the engine computed for it, bounded by an LRU capacity.
+// between AlertScheduler::Decide (opted into via AlertOptions::decision_cache) and
+// the engine: it maps a *key* derived from everything a selection depends on — the
+// DecisionInputs snapshot, the goals, the energy allowance, and the power limit — to
+// the Selection the engine computed for it, bounded by an LRU capacity.
 //
 // == Modes and the correctness contract ==
 //
@@ -26,8 +26,8 @@
 // == Invalidation contract ==
 //
 // The cache borrows its engine and is valid only while the engine's profile is: a new
-// profile means a new engine, which means constructing a new cache (AlertScheduler and
-// MultiJobCoordinator tie cache lifetime to engine lifetime).  Goal changes must call
+// profile means a new engine, which means constructing a new cache (AlertScheduler
+// ties cache lifetime to engine lifetime).  Goal changes must call
 // `Invalidate()` — AlertScheduler::set_goals does — even though goal fields are part
 // of the key (the key guards correctness; invalidation keeps dead entries from
 // occupying LRU capacity).  Entries dropped this way are counted as `stale`.
@@ -99,8 +99,7 @@ class DecisionCache {
                                    const DecisionInputs& in, Watts power_limit,
                                    DecisionEngine::SelectScratch& scratch);
 
-  // The two halves of Select, for callers that compute selections themselves (the
-  // multi-job coordinator re-selects from precomputed score tables).
+  // The two halves of Select.
   bool Lookup(const Goals& goals, Joules allowance, const DecisionInputs& in,
               Watts power_limit, DecisionEngine::Selection* out);
   void Insert(const Goals& goals, Joules allowance, const DecisionInputs& in,
@@ -108,16 +107,6 @@ class DecisionCache {
 
   // Drops every entry (goal change / explicit reset); dropped entries count as stale.
   void Invalidate();
-
-  // Drops only the entries recorded under `goals` (matched on every goal-derived key
-  // field, including the Eq. 12 percentile that mirrors prob_threshold); returns the
-  // number dropped, counted as stale.  This is the per-tenant goal-reconfiguration
-  // path: in a cache shared by several tenants of one candidate family (the multi-job
-  // coordinator), one tenant's goal flip must not cold-start its neighbours — their
-  // entries are keyed under different goals and survive untouched.  Correctness never
-  // depends on this call (goals are part of every key); it only keeps dead old-goal
-  // entries from occupying LRU capacity.
-  size_t InvalidateGoals(const Goals& goals);
 
   const DecisionEngine& engine() const { return *engine_; }
   const DecisionCachePolicy& policy() const { return policy_; }

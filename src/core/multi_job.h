@@ -7,8 +7,7 @@
 //   1. every job's belief is snapshotted once (AlertScheduler::Snapshot), so the round
 //      is a pure function of the snapshots — no scheduler state is mutated;
 //   2. jobs are grouped by candidate family and each family's engine scores all of its
-//      jobs in one entry-outer ScoreBatch pass over the flattened SoA tables
-//      (ParallelFor across families for large rounds);
+//      jobs in one entry-outer ScoreBatch pass over the flattened SoA tables;
 //   3. pass 1 selects every job's unconstrained desire from the precomputed scores; if
 //      the desires fit the budget they stand;
 //   4. otherwise the allocation policy splits the budget.  Scores are independent of
@@ -33,7 +32,6 @@
 #include <vector>
 
 #include "src/core/alert_scheduler.h"
-#include "src/core/decision_cache.h"
 #include "src/core/decision_engine.h"
 
 namespace alert {
@@ -64,41 +62,14 @@ class MultiJobCoordinator {
   // Online budget reconfiguration (a shared package limit raised or lowered while
   // jobs run, e.g. the daemon's `limit-set` verb).  The budget is read afresh every
   // round, so the change takes effect on the next DecideRound without disturbing any
-  // scheduler or cache state.
+  // scheduler state.
   void set_total_power_budget(Watts budget);
   AllocationPolicy allocation_policy() const { return policy_; }
   void set_allocation_policy(AllocationPolicy policy) { policy_ = policy; }
 
   // Per-job goal reconfiguration (requirements change at run time, Section 1.1 —
-  // the daemon's `goal-set` verb).  Updates the job's scheduler goals and, when
-  // decision caching is on, drops only the entries its family's shared cache holds
-  // under the OLD goals (DecisionCache::InvalidateGoals): goal fields are part of
-  // every cache key, so other tenants' entries — and every other family's cache —
-  // stay hot.  Calling job(i).set_goals() directly is wrong under coordination: it
-  // leaves the dead old-goal entries charging the family cache's LRU capacity, and
-  // the only previous remedy (set_decision_cache_policy) cold-started every family.
+  // the daemon's `goal-set` verb).  The next round snapshots the new goals.
   void SetJobGoals(int index, const Goals& goals);
-
-  // Rounds with at least this many jobs score their families under ParallelFor.
-  // Scoring results are identical either way, but the parallel dispatch spawns (and
-  // heap-allocates) threads every round, which measures slower than the serial pass
-  // up to K = 64 on the paper-sized config spaces — so the default keeps it off;
-  // lower the threshold for much larger candidate families where per-family scoring
-  // dominates the spawn cost.
-  void set_parallel_scoring_threshold(int jobs) { parallel_threshold_ = jobs; }
-
-  // Decision memoization across rounds (src/core/decision_cache.h): one cache per
-  // candidate family, shared by that family's jobs, keyed on (belief snapshot, goals,
-  // allowance, power limit).  When every selection a round needs hits the cache, the
-  // round skips family scoring entirely — the hot-path win for converged fleets whose
-  // beliefs drift slowly.  A family is scored lazily the first time one of its jobs
-  // misses.  Exact mode is bit-identical to the uncached round (every hit replays a
-  // selection computed for an identical key on the same engine); the default (off)
-  // leaves the historical code path untouched.  Replaces any previous caches.
-  void set_decision_cache_policy(const DecisionCachePolicy& policy);
-  const DecisionCachePolicy& decision_cache_policy() const { return cache_policy_; }
-  // Aggregated stats over the per-family caches (zeros when caching is off).
-  DecisionCacheStats decision_cache_stats() const;
 
   // Decides one configuration per job such that the sum of their power caps does not
   // exceed the shared budget.  `requests` is indexed by job.  Leaves every scheduler's
@@ -107,8 +78,7 @@ class MultiJobCoordinator {
   std::vector<SchedulingDecision> DecideRound(
       const std::vector<InferenceRequest>& requests);
   // Same, into a caller-owned vector: with `decisions` and the coordinator's internal
-  // scratch warm from a previous round, a round performs zero heap allocations (below
-  // the parallel-scoring threshold; the ParallelFor dispatch above it spawns threads).
+  // scratch warm from a previous round, a round performs zero heap allocations.
   void DecideRoundInto(const std::vector<InferenceRequest>& requests,
                        std::vector<SchedulingDecision>* decisions);
 
@@ -129,8 +99,6 @@ class MultiJobCoordinator {
     // Round scratch, reused across rounds (sized on first use, job-major scores).
     std::vector<DecisionInputs> inputs;
     std::vector<ConfigScore> scores;
-    // Memoized selections shared by this family's jobs; null when caching is off.
-    std::unique_ptr<DecisionCache> cache;
   };
   struct Job {
     std::string name;
@@ -146,16 +114,11 @@ class MultiJobCoordinator {
   std::span<const ConfigScore> JobScores(int job_index) const;
   // Re-selects job `j` from its precomputed scores under `limit`.
   DecisionEngine::Selection SelectJob(int job_index, Watts limit) const;
-  // Cached selection of job `j` under `limit`: cache hit, or (lazily scoring the
-  // job's family first) SelectJob plus an insert.  Caching must be enabled.
-  DecisionEngine::Selection SelectJobCached(int job_index, Watts limit);
 
   std::vector<Family> families_;  // first-appearance order
   std::vector<Job> jobs_;
   Watts total_power_budget_;
   AllocationPolicy policy_;
-  int parallel_threshold_ = 128;
-  DecisionCachePolicy cache_policy_;  // off by default
 
   // Round scratch, reused across rounds.
   std::vector<DecisionSnapshot> snapshots_;
@@ -164,9 +127,6 @@ class MultiJobCoordinator {
   std::vector<Watts> grants_;
   std::vector<Watts> claims_;  // slack-recycling: cap actually claimed per job
   std::vector<int> order_;     // slack-recycling offer order
-  std::vector<char> family_scored_;  // cached rounds: which families scored so far
-  std::vector<int> cache_misses_;    // cached rounds: pass-1 jobs that missed
-  std::vector<int> miss_families_;   // cached rounds: families needing scoring
 };
 
 }  // namespace alert

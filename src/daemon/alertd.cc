@@ -385,11 +385,6 @@ std::string FormatStatsLine(const AlertdStats& stats, size_t ring_capacity) {
   w.Field("rebuilds", stats.rebuilds);
   w.Field("parse_errors", stats.parse_errors);
   w.Field("protocol_errors", stats.protocol_errors);
-  w.Field("cache_hits", stats.cache.hits);
-  w.Field("cache_misses", stats.cache.misses);
-  w.Field("cache_insertions", stats.cache.insertions);
-  w.Field("cache_evictions", stats.cache.evictions);
-  w.Field("cache_stale", stats.cache.stale);
   w.Field("ring_pushed", stats.ring_pushed);
   w.Field("ring_dropped", stats.ring_dropped);
   w.Field("ring_written", stats.ring_written);
@@ -554,8 +549,7 @@ std::string AlertdCore::HandleGoalSet(serde::RecordReader& reader) {
   if (index < 0) {
     return Error("goal-set", "unknown-tenant");
   }
-  // No rebuild and no round dropped: SetJobGoals swaps the live scheduler's goals
-  // and surgically drops only the family-cache entries keyed under the old goals.
+  // No rebuild and no round dropped: SetJobGoals swaps the live scheduler's goals.
   coordinator_->SetJobGoals(index, goals);
   tenants_[static_cast<size_t>(index)].config.goals = goals;
   ++counters_.goal_sets;
@@ -792,17 +786,7 @@ void AlertdCore::RemoveTenants(const std::vector<int>& indices) {
 void AlertdCore::RebuildCoordinator(
     const std::vector<std::optional<BeliefState>>& beliefs) {
   ALERT_CHECK(beliefs.size() == tenants_.size());
-  if (coordinator_ != nullptr) {
-    // Keep the cumulative cache picture across generations: the `stats` verb
-    // reports live + retired, so a rebuild never makes counters go backwards.
-    const DecisionCacheStats s = coordinator_->decision_cache_stats();
-    retired_cache_.hits += s.hits;
-    retired_cache_.misses += s.misses;
-    retired_cache_.insertions += s.insertions;
-    retired_cache_.evictions += s.evictions;
-    retired_cache_.stale += s.stale;
-    coordinator_.reset();
-  }
+  coordinator_.reset();
   ++counters_.rebuilds;
   if (tenants_.empty()) {
     return;
@@ -814,15 +798,10 @@ void AlertdCore::RebuildCoordinator(
     spec.name = t.config.name;
     spec.space = &t.stack->space();
     spec.goals = t.config.goals;
-    // Default AlertOptions: per-scheduler caching stays off — the coordinator's
-    // per-family caches (cache_policy below) are the only memoization layer.
     specs.push_back(std::move(spec));
   }
   coordinator_ = std::make_unique<MultiJobCoordinator>(
       std::move(specs), options_.total_power_budget, options_.policy);
-  if (options_.cache_policy.enabled()) {
-    coordinator_->set_decision_cache_policy(options_.cache_policy);
-  }
   for (size_t i = 0; i < tenants_.size(); ++i) {
     if (beliefs[i].has_value()) {
       coordinator_->job(static_cast<int>(i)).RestoreBelief(*beliefs[i]);
@@ -896,15 +875,6 @@ void AlertdCore::Shutdown() {
 
 AlertdStats AlertdCore::stats() const {
   AlertdStats s = counters_;
-  s.cache = retired_cache_;
-  if (coordinator_ != nullptr) {
-    const DecisionCacheStats live = coordinator_->decision_cache_stats();
-    s.cache.hits += live.hits;
-    s.cache.misses += live.misses;
-    s.cache.insertions += live.insertions;
-    s.cache.evictions += live.evictions;
-    s.cache.stale += live.stale;
-  }
   s.ring_pushed = log_.pushed();
   s.ring_dropped = log_.dropped();
   s.ring_written = log_.written();

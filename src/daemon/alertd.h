@@ -26,7 +26,7 @@
 //     ok       verb=V [tenant=T] [jobs=I] [budget=F]            ack
 //     belief   tenant=T kalman_mean=F ... has_decision=B ...    snapshot reply
 //     decision tenant=T round=I input=I model=I stage=I power_index=I power_cap=F
-//     stats    rounds=I decisions=I ... cache_hits=I ...        stats reply
+//     stats    rounds=I decisions=I ... ring_dropped=I ...      stats reply
 //     error    verb=V reason=R [detail=D]                       typed failure
 //
 // Malformed input NEVER kills the daemon: every line goes through the strict serde
@@ -60,13 +60,11 @@
 //     departures REBUILD the coordinator (it owns its schedulers) and transplant
 //     every surviving tenant's learned state via AlertScheduler::ExportBelief /
 //     RestoreBelief — exact struct copies, so decisions are unchanged;
-//   * goal/limit changes do NOT rebuild: they route through SetJobGoals (which
-//     drops only the affected family-cache entries) and set_total_power_budget;
+//   * goal/limit changes do NOT rebuild: they route through SetJobGoals and
+//     set_total_power_budget;
 //   * belief persistence: the `belief` record serializes BeliefState through
 //     serde's %.17g exact-double round-trip, so a reconnecting tenant restores the
-//     same bits it exported;
-//   * caching: per-family DecisionCache sharing (exact mode) is decision-neutral
-//     by construction, and both sides rebuild caches cold at the same script points.
+//     same bits it exported.
 //
 // == Instrumentation ==
 //
@@ -277,9 +275,6 @@ struct AlertdOptions {
   PlatformId platform = PlatformId::kCpu1;
   Watts total_power_budget = 100.0;
   AllocationPolicy policy = AllocationPolicy::kProportional;
-  // Exact-mode family caches shared across same-family tenants by default:
-  // decision-neutral (exact hits replay identical selections) but visible in stats.
-  DecisionCachePolicy cache_policy{.mode = DecisionCacheMode::kExact};
   uint64_t stack_seed = kAlertdStackSeed;
   size_t event_ring_capacity = 4096;
   std::string event_log_path;  // empty = events counted, not written
@@ -301,7 +296,7 @@ struct AlertdStats {
   uint64_t rebuilds = 0;
   uint64_t parse_errors = 0;     // line did not parse as a record
   uint64_t protocol_errors = 0;  // parsed, but violated the session state machine
-  DecisionCacheStats cache;      // live coordinator caches + retired generations
+  DecisionCacheStats cache;  // always zero: kept only for perfbench's cache-hit metric
   uint64_t ring_pushed = 0;
   uint64_t ring_dropped = 0;
   uint64_t ring_written = 0;
@@ -366,10 +361,8 @@ class AlertdCore {
 
   int FindTenant(std::string_view name) const;  // -1 when absent
   Watts AdmittedFloorSum() const;
-  // Drops the current coordinator (retiring its cache stats) and rebuilds it over
-  // `tenants_` in admission order, transplanting the given per-tenant beliefs
-  // (nullopt = fresh tenant).  Fresh family caches on every rebuild — cold on both
-  // sides of the equivalence test by construction.
+  // Drops the current coordinator and rebuilds it over `tenants_` in admission
+  // order, transplanting the given per-tenant beliefs (nullopt = fresh tenant).
   void RebuildCoordinator(const std::vector<std::optional<BeliefState>>& beliefs);
   // Removes tenants_[indices] (ascending, already-validated), one rebuild total.
   void RemoveTenants(const std::vector<int>& indices);
@@ -383,11 +376,10 @@ class AlertdCore {
   EventLog log_;
   std::vector<Tenant> tenants_;  // admission order == coordinator job order
   std::unique_ptr<MultiJobCoordinator> coordinator_;  // null while no tenants
-  DecisionCacheStats retired_cache_;  // cache stats of rebuilt-away coordinators
   int round_ = 0;
   int next_tenant_id_ = 0;
   bool shut_down_ = false;
-  AlertdStats counters_;  // the non-cache, non-ring counters
+  AlertdStats counters_;  // the non-ring counters
 
   // Round scratch (reused; DecideRoundInto allocates nothing once warm).
   std::vector<InferenceRequest> round_requests_;

@@ -83,8 +83,8 @@ ChurnScript MakeChurnScript(const ChurnScriptOptions& options) {
     } else {
       alt.energy_budget = 5e8;
     }
-    // Odd tenants flip into an explicit probabilistic guarantee — prob_threshold is
-    // a cache-key field, so flips exercise the selective invalidation path.
+    // Odd tenants flip into an explicit probabilistic guarantee, so flips also move
+    // the Eq. 12 percentile the scoring pass reads.
     alt.prob_threshold = (i % 2 == 1) ? 0.9 : 0.0;
     t.alt_goals = alt;
     t.trace_seed = options.seed * 7919 + 1000 + 17 * static_cast<uint64_t>(i);
@@ -536,7 +536,6 @@ ChurnReplayBackend::ChurnReplayBackend(const ChurnScript& script)
       budget_(script.options.initial_budget),
       // Mirror the daemon's decision-plane configuration exactly: the defaults of
       // AlertdOptions are the contract the equivalence tests run under.
-      cache_policy_(AlertdOptions{}.cache_policy),
       policy_(AlertdOptions{}.policy) {
   saved_belief_.resize(script.tenants.size());
   has_saved_belief_.resize(script.tenants.size(), false);
@@ -579,9 +578,6 @@ void ChurnReplayBackend::Rebuild(
   }
   coordinator_ =
       std::make_unique<MultiJobCoordinator>(std::move(specs), budget_, policy_);
-  if (cache_policy_.enabled()) {
-    coordinator_->set_decision_cache_policy(cache_policy_);
-  }
   for (size_t i = 0; i < slots_.size(); ++i) {
     if (beliefs[i].has_value()) {
       coordinator_->job(static_cast<int>(i)).RestoreBelief(*beliefs[i]);

@@ -217,7 +217,6 @@ class ChurnReplayBackend final : public ChurnBackend {
   const ChurnScript& script_;
   StackCache stacks_;
   Watts budget_;
-  DecisionCachePolicy cache_policy_;
   AllocationPolicy policy_;
   std::vector<Slot> slots_;
   std::unique_ptr<MultiJobCoordinator> coordinator_;

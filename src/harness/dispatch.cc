@@ -1017,9 +1017,6 @@ serde::Status DispatchSweep(const SweepPlan& plan, Transport& transport,
     return finish(accumulator.Finalize(out));
   }
 
-  const bool pipeline = options.pipeline_leases &&
-                        options.lease_mode == LeaseMode::kPull;
-
   std::vector<std::unique_ptr<WorkerState>> workers;
   std::deque<int> retry_queue;  // unit ids awaiting re-grant (revokes, failures)
   // Fresh work is a cursor over the plan's enumeration order — never a materialized
@@ -1047,27 +1044,7 @@ serde::Status DispatchSweep(const SweepPlan& plan, Transport& transport,
     return false;
   };
 
-  // Static mode: the PR 4 baseline — whole LPT/round-robin shards as single leases.
-  std::deque<std::vector<int>> static_shards;
-  if (options.lease_mode == LeaseMode::kStatic) {
-    for (const std::vector<SweepUnit>& shard :
-         PartitionPlan(plan, options.num_workers, options.strategy)) {
-      std::vector<int> ids;
-      ids.reserve(shard.size());
-      for (const SweepUnit& unit : shard) {
-        if (!accumulator.IsRecorded(unit.id)) {  // skip preseeded units
-          ids.push_back(unit.id);
-        }
-      }
-      if (!ids.empty()) {
-        static_shards.push_back(std::move(ids));
-      }
-    }
-  }
   const auto pending_work_exists = [&] {
-    if (options.lease_mode == LeaseMode::kStatic) {
-      return !static_shards.empty() || retry_has_work();
-    }
     skip_fresh();
     return fresh_cursor < plan.units.size() || retry_has_work();
   };
@@ -1092,34 +1069,27 @@ serde::Status DispatchSweep(const SweepPlan& plan, Transport& transport,
     return nullptr;
   };
 
-  // Requeues the not-yet-merged remainder of a worker's lease.
-  const auto requeue_unfinished = [&](WorkerState& worker) {
+  // Requeues the not-yet-merged remainder of a lease's ids and empties them.
+  const auto requeue = [&](std::vector<int>& ids) {
     int requeued = 0;
-    for (const int id : worker.assigned_ids) {
+    for (const int id : ids) {
       if (!accumulator.IsRecorded(id)) {
         retry_queue.push_back(id);
         in_flight[static_cast<size_t>(id)] = 0;
         ++requeued;
       }
     }
-    worker.assigned_ids.clear();
+    ids.clear();
     return requeued;
   };
-
-  // Requeues a worker's undelivered prefetched lease (nothing executes those units,
-  // so this loses no work).
+  const auto requeue_unfinished = [&](WorkerState& worker) {
+    return requeue(worker.assigned_ids);
+  };
+  // The undelivered prefetched lease: nothing executes those units, so this loses
+  // no work.
   const auto requeue_prefetch = [&](WorkerState& worker) {
-    int requeued = 0;
-    for (const int id : worker.prefetch_ids) {
-      if (!accumulator.IsRecorded(id)) {
-        retry_queue.push_back(id);
-        in_flight[static_cast<size_t>(id)] = 0;
-        ++requeued;
-      }
-    }
-    worker.prefetch_ids.clear();
     worker.prefetch_seq = -1;
-    return requeued;
+    return requeue(worker.prefetch_ids);
   };
 
   const auto fail_worker = [&](WorkerState& worker, const std::string& why) {
@@ -1135,13 +1105,13 @@ serde::Status DispatchSweep(const SweepPlan& plan, Transport& transport,
     worker.channel->Close();
   };
 
-  // Builds the next pull-mode lease for `worker`: requeued work first (it is the
-  // oldest and thus the likeliest tail of the critical path), then fresh plan-order
-  // units.  Size is cost-fed *at this worker's own rate* — a slow machine gets a
+  // Builds the next lease for `worker`: requeued work first (it is the oldest and
+  // thus the likeliest tail of the critical path), then fresh plan-order units.
+  // Size is cost-fed *at this worker's own rate* — a slow machine gets a
   // proportionally shorter unit prefix for the same target_lease_ms, which is how
   // per-worker rates keep a heterogeneous fleet's leases finishing together — with
   // small fixed leases while the model is still cold so it warms on observations.
-  const auto build_pull_lease = [&](const WorkerState& worker, bool* is_retry) {
+  const auto build_lease = [&](const WorkerState& worker, bool* is_retry) {
     std::vector<int> ids;
     double predicted = 0.0;
     const int remaining = static_cast<int>(accumulator.num_expected() -
@@ -1187,38 +1157,15 @@ serde::Status DispatchSweep(const SweepPlan& plan, Transport& transport,
     return ids;
   };
 
-  const auto build_static_lease = [&](bool* is_retry) {
-    std::vector<int> ids;
-    if (!static_shards.empty()) {
-      ids = std::move(static_shards.front());
-      static_shards.pop_front();
-      ids.erase(std::remove_if(ids.begin(), ids.end(),
-                               [&](int id) { return accumulator.IsRecorded(id); }),
-                ids.end());
-    } else {
-      // Retries go out as one whole lease: static mode re-plans, it never rebalances.
-      while (!retry_queue.empty()) {
-        const int candidate = retry_queue.front();
-        retry_queue.pop_front();
-        if (!accumulator.IsRecorded(candidate) &&
-            in_flight[static_cast<size_t>(candidate)] == 0) {
-          ids.push_back(candidate);
-          *is_retry = true;
-        }
-      }
-    }
-    for (const int id : ids) {
-      in_flight[static_cast<size_t>(id)] = 1;
-    }
-    return ids;
-  };
-
-  // Grants a lease to a requesting worker; false when no work is pending.
-  const auto grant_lease = [&](WorkerState& worker) {
+  // Grants `worker` its next lease — the active one, or (`prefetch`) the one queued
+  // behind it.  Pipelining: the worker's line source is pending-first, so a
+  // prefetched grant is consumed the instant lease-done goes out and the
+  // request/grant round trip (the whole idle window on an ssh-style transport)
+  // disappears.  One outstanding prefetch per worker.  False when no work is
+  // pending.
+  const auto grant_lease = [&](WorkerState& worker, bool prefetch) {
     bool is_retry = false;
-    std::vector<int> ids = options.lease_mode == LeaseMode::kStatic
-                               ? build_static_lease(&is_retry)
-                               : build_pull_lease(worker, &is_retry);
+    std::vector<int> ids = build_lease(worker, &is_retry);
     if (ids.empty()) {
       return false;
     }
@@ -1227,55 +1174,30 @@ serde::Status DispatchSweep(const SweepPlan& plan, Transport& transport,
     }
     const int seq = next_seq++;
     ++st.leases_granted;
+    if (prefetch) {
+      ++st.leases_pipelined;
+    }
     if (is_retry) {
       ++st.retry_assignments;
     }
     if (options.on_assign) {
       options.on_assign(worker.launch_index, seq, ids);
     }
-    worker.seq = seq;
-    worker.assigned_ids = std::move(ids);
-    worker.mode = WorkerState::Mode::kWorking;
-    worker.wants_lease = false;
-    worker.last_activity = Clock::now();
-    worker.lease_start = worker.last_activity;
-    worker.last_result = worker.last_activity;
-    const serde::Status s = SendLease(context, worker, seq, worker.assigned_ids);
+    std::vector<int>& lease = prefetch ? worker.prefetch_ids : worker.assigned_ids;
+    lease = std::move(ids);
+    if (prefetch) {
+      worker.prefetch_seq = seq;
+    } else {
+      worker.seq = seq;
+      worker.mode = WorkerState::Mode::kWorking;
+      worker.wants_lease = false;
+      worker.last_activity = Clock::now();
+      worker.lease_start = worker.last_activity;
+      worker.last_result = worker.last_activity;
+    }
+    const serde::Status s = SendLease(context, worker, seq, lease);
     if (!s) {
       fail_worker(worker, "send: " + s.message);
-    }
-    return true;
-  };
-
-  // Pipelining: send a working worker its *next* lease while the current one drains.
-  // The worker's line source is pending-first, so the prefetched grant is consumed
-  // the instant lease-done goes out — the request/grant round trip (the whole idle
-  // window on an ssh-style transport) disappears.  One outstanding prefetch per
-  // worker; false when no work is pending or the send fails.
-  const auto prefetch_lease = [&](WorkerState& worker) {
-    bool is_retry = false;
-    std::vector<int> ids = build_pull_lease(worker, &is_retry);
-    if (ids.empty()) {
-      return false;
-    }
-    for (const int id : ids) {
-      ALERT_CHECK(!accumulator.IsRecorded(id));
-    }
-    const int seq = next_seq++;
-    ++st.leases_granted;
-    ++st.leases_pipelined;
-    if (is_retry) {
-      ++st.retry_assignments;
-    }
-    if (options.on_assign) {
-      options.on_assign(worker.launch_index, seq, ids);
-    }
-    worker.prefetch_seq = seq;
-    worker.prefetch_ids = std::move(ids);
-    const serde::Status s = SendLease(context, worker, seq, worker.prefetch_ids);
-    if (!s) {
-      fail_worker(worker, "send: " + s.message);
-      return false;
     }
     return true;
   };
@@ -1287,8 +1209,7 @@ serde::Status DispatchSweep(const SweepPlan& plan, Transport& transport,
   // look overloaded — predicted remainder well past the target, or silent since its
   // last result for twice the target.
   const auto try_steal = [&]() {
-    if (options.lease_mode != LeaseMode::kPull || !options.enable_steal ||
-        !model.seeded()) {
+    if (!options.enable_steal || !model.seeded()) {
       return false;
     }
     // Undelivered prefetches first: those units are pure inventory — no worker has
@@ -1482,15 +1403,12 @@ serde::Status DispatchSweep(const SweepPlan& plan, Transport& transport,
   };
 
   // Initial fleet: workers pull their own work, so this only sizes the pool — at
-  // most one worker per pending unit (pull) or per non-empty shard (static), so a
-  // mostly-preseeded incremental re-run never spins up idle workers.
+  // most one worker per pending unit, so a mostly-preseeded incremental re-run
+  // never spins up idle workers.
   {
     const int remaining = static_cast<int>(accumulator.num_expected() -
                                            accumulator.num_recorded());
-    const int fleet =
-        options.lease_mode == LeaseMode::kStatic
-            ? std::min(options.num_workers, static_cast<int>(static_shards.size()))
-            : std::min(options.num_workers, remaining);
+    const int fleet = std::min(options.num_workers, remaining);
     for (int i = 0; i < fleet; ++i) {
       if (launch_worker() == nullptr) {
         break;
@@ -1600,7 +1518,7 @@ serde::Status DispatchSweep(const SweepPlan& plan, Transport& transport,
           break;  // nothing to grant and nothing worth stealing this round
         }
       }
-      if (grant_lease(worker)) {
+      if (grant_lease(worker, /*prefetch=*/false)) {
         progress = true;
       }
     }
@@ -1608,7 +1526,7 @@ serde::Status DispatchSweep(const SweepPlan& plan, Transport& transport,
     // Prefetch pump (after the grant pump, so idle requesters are never starved by
     // inventory parked on busy peers): every working worker without an outstanding
     // prefetch gets its next lease queued behind the active one.
-    if (pipeline) {
+    if (options.pipeline_leases) {
       for (const auto& worker_ptr : workers) {
         WorkerState& worker = *worker_ptr;
         if (worker.mode != WorkerState::Mode::kWorking || worker.prefetch_seq >= 0) {
@@ -1617,7 +1535,7 @@ serde::Status DispatchSweep(const SweepPlan& plan, Transport& transport,
         if (!pending_work_exists()) {
           break;
         }
-        if (prefetch_lease(worker)) {
+        if (grant_lease(worker, /*prefetch=*/true)) {
           progress = true;
         }
       }

@@ -37,10 +37,6 @@
 // is order-independent and first-wins on redelivery; Finalize walks the plan in its
 // enumeration order).
 //
-// `lease_mode = kStatic` keeps the PR 4 behavior (whole LPT shards granted up front,
-// no stealing, no cost sizing) as a baseline — the pool's makespan win on skewed
-// plans is asserted against it in the dispatch stats tests.
-//
 // == Transports ==
 //
 // A `Transport` launches workers and yields `WorkerChannel`s (line-oriented, same
@@ -298,30 +294,23 @@ int EffectiveLeaseDeadlineMs(int flat_deadline_ms, double cost_factor,
 bool PullLeaseWantsMore(int units_taken, int max_units, int cold_cap, bool rate_known,
                         double predicted_ms, int target_ms);
 
-// Grant policy: pull (cost-fed small leases + stealing) or static (the PR 4
-// baseline: whole LPT shards granted once, no stealing, no cost sizing).
-enum class LeaseMode : int { kPull = 0, kStatic = 1 };
-
 struct DispatchOptions {
   int num_workers = 2;
-  // Partition strategy for lease_mode == kStatic (and for nothing else: pull-mode
-  // leases are plan-order prefixes, sized by the cost model).
-  ShardStrategy strategy = ShardStrategy::kRoundRobin;
-  LeaseMode lease_mode = LeaseMode::kPull;
 
-  // Pull-mode lease sizing: take pending units until their predicted time reaches
-  // target_lease_ms, capped at max_lease_units; while the cost model is unseeded,
-  // leases stay small (warm-up).  target_lease_ms trades scheduling overhead
-  // against tail latency — smaller leases steal/rebalance faster but chat more.
+  // Lease sizing: a lease is a plan-order prefix of the pending units, taken until
+  // their predicted time reaches target_lease_ms, capped at max_lease_units; while
+  // the cost model is unseeded, leases stay small (warm-up).  target_lease_ms
+  // trades scheduling overhead against tail latency — smaller leases
+  // steal/rebalance faster but chat more.
   int target_lease_ms = 1000;
   int max_lease_units = 64;
   // Seeds the cost model (ms per SweepUnitCost point) so the first leases and
   // deadlines are already scaled; 0 = learn from scratch.  Tests use this to make
   // deadline behavior deterministic.
   double initial_cost_rate_ms = 0.0;
-  // Steal leases for idle workers when nothing is pending (pull mode only).
+  // Steal leases for idle workers when nothing is pending.
   bool enable_steal = true;
-  // Lease-grant pipelining (pull mode only): while a worker drains lease N, the
+  // Lease-grant pipelining: while a worker drains lease N, the
   // dispatcher sends lease N+1 (one outstanding prefetch per worker), so the worker
   // promotes the prefetched lease the instant N finishes instead of paying a
   // request/grant round trip — on an ssh-style transport that round trip is pure

@@ -11,11 +11,26 @@ namespace {
 
 TEST(ParallelForTest, VisitsEveryIndexExactlyOnce) {
   constexpr int kCount = 1000;
-  std::vector<std::atomic<int>> visits(kCount);
-  ParallelFor(kCount, [&](int i) { visits[static_cast<size_t>(i)].fetch_add(1); });
-  for (int i = 0; i < kCount; ++i) {
-    EXPECT_EQ(visits[static_cast<size_t>(i)].load(), 1) << "index " << i;
+  for (const int max_threads : {0, 8}) {  // hardware concurrency, explicit width
+    std::vector<std::atomic<int>> visits(kCount);
+    ParallelFor(
+        kCount, [&](int i) { visits[static_cast<size_t>(i)].fetch_add(1); },
+        max_threads);
+    for (int i = 0; i < kCount; ++i) {
+      EXPECT_EQ(visits[static_cast<size_t>(i)].load(), 1)
+          << "index " << i << " max_threads " << max_threads;
+    }
   }
+}
+
+TEST(ParallelForTest, SingleThreadFallback) {
+  int sum = 0;  // unsynchronized: one thread runs every index, in order
+  ParallelFor(10, [&](int i) { sum += i; }, /*max_threads=*/1);
+  EXPECT_EQ(sum, 45);
+}
+
+TEST(ParallelForTest, ZeroCountIsNoop) {
+  ParallelFor(0, [](int) { FAIL(); });
 }
 
 TEST(ParallelForTest, ZeroAndNegativeCountsAreNoOps) {

@@ -1,10 +1,10 @@
 // Cache-equivalence suite for src/core/decision_cache.h: exact-match caching must be
 // bit-identical to uncached decisions — across goal modes, randomized belief-drift
-// trajectories, full harness runs of every ALERT scheme variant, and multi-job
-// coordinated rounds — plus LRU eviction/invalidation unit tests, a bounded
-// score-gap check for bucketed mode, and a concurrency smoke test on the const
-// scoring plane.  All randomness is seed-deterministic (std::mt19937_64 with fixed
-// seeds); there is no time- or address-dependent input anywhere.
+// trajectories, and full harness runs of every ALERT scheme variant — plus LRU
+// eviction/invalidation unit tests, a bounded score-gap check for bucketed mode, and
+// a concurrency smoke test on the const scoring plane.  All randomness is
+// seed-deterministic (std::mt19937_64 with fixed seeds); there is no time- or
+// address-dependent input anywhere.
 #include "src/core/decision_cache.h"
 
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "src/core/alert_scheduler.h"
-#include "src/core/multi_job.h"
 #include "src/dnn/zoo.h"
 #include "src/harness/constraint_grid.h"
 #include "src/harness/experiment.h"
@@ -225,81 +224,6 @@ TEST_F(DecisionCacheTest, ConvergedBeliefHitsInBucketedMode) {
   EXPECT_GT(cached.decision_cache()->stats().hits, 0u);
   // Deterministic trace: measured 0.265 with 0.01-wide buckets over 200 inputs.
   EXPECT_GT(cached.decision_cache()->stats().hit_rate(), 0.2);
-}
-
-// --- multi-job coordination ---------------------------------------------------------
-
-TEST_F(DecisionCacheTest, CoordinatedRoundsMatchUncachedUnderBothPolicies) {
-  const Seconds deadline = 0.08;
-  const Watts budget = 45.0;  // binding for 4 jobs
-  const auto make_jobs = [&]() {
-    std::vector<JobSpec> jobs;
-    for (int j = 0; j < 4; ++j) {
-      JobSpec spec;
-      spec.name = "job" + std::to_string(j);
-      spec.space = &space_;
-      spec.goals.mode = GoalMode::kMaximizeAccuracy;
-      spec.goals.deadline = deadline * (1.0 + 0.05 * j);
-      spec.goals.energy_budget = 1e9;
-      jobs.push_back(std::move(spec));
-    }
-    return jobs;
-  };
-  const auto requests = [&]() {
-    std::vector<InferenceRequest> r;
-    for (int j = 0; j < 4; ++j) {
-      const Seconds d = deadline * (1.0 + 0.05 * j);
-      r.push_back(InferenceRequest{0, d, d});
-    }
-    return r;
-  }();
-
-  for (const AllocationPolicy policy :
-       {AllocationPolicy::kProportional, AllocationPolicy::kSlackRecycling}) {
-    MultiJobCoordinator plain(make_jobs(), budget, policy);
-    MultiJobCoordinator cached(make_jobs(), budget, policy);
-    cached.set_decision_cache_policy(ExactPolicy());
-
-    for (int round = 0; round < 30; ++round) {
-      const auto plain_decisions = plain.DecideRound(requests);
-      const auto cached_decisions = cached.DecideRound(requests);
-      ASSERT_EQ(plain_decisions.size(), cached_decisions.size());
-      for (size_t j = 0; j < plain_decisions.size(); ++j) {
-        EXPECT_EQ(plain_decisions[j].candidate, cached_decisions[j].candidate)
-            << "round " << round << " job " << j;
-        EXPECT_EQ(plain_decisions[j].power_index, cached_decisions[j].power_index)
-            << "round " << round << " job " << j;
-      }
-
-      std::vector<Measurement> measurements;
-      for (size_t j = 0; j < plain_decisions.size(); ++j) {
-        const SchedulingDecision& d = plain_decisions[j];
-        const Seconds profile =
-            space_.ProfileLatency(d.candidate.model_index, d.power_index);
-        const double xi = 1.0 + 0.15 * std::sin(0.37 * round);
-        Measurement m;
-        m.latency = xi * profile;
-        m.period = requests[j].deadline;
-        m.deadline = requests[j].deadline;
-        m.deadline_met = m.latency <= m.deadline;
-        m.energy = d.power_cap * m.latency;
-        m.inference_power = d.power_cap;
-        m.idle_power = 0.25 * d.power_cap;
-        m.accuracy = space_.CandidateAccuracy(d.candidate);
-        m.xi_anchor_time = xi * profile;
-        m.xi_anchor_fraction = 1.0;
-        m.xi_censored = false;
-        measurements.push_back(m);
-      }
-      plain.ObserveRound(plain_decisions, measurements);
-      cached.ObserveRound(cached_decisions, measurements);
-    }
-    // Identical consecutive beliefs (the sin-driven xi repeats exactly only rarely,
-    // but within a round the same snapshot is re-selected under several limits) must
-    // produce cache traffic.
-    const DecisionCacheStats stats = cached.decision_cache_stats();
-    EXPECT_GT(stats.hits + stats.misses, 0u);
-  }
 }
 
 // --- bucketed mode ------------------------------------------------------------------

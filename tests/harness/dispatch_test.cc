@@ -1,5 +1,5 @@
 // Dispatcher correctness under failure: the merged aggregate must be byte-identical
-// to the monolithic sweep for any worker count, lease mode, kill schedule, silent
+// to the monolithic sweep for any worker count, kill schedule, silent
 // straggler, lease revocation, steal order, or duplicate delivery — and a completed
 // unit id must never be re-leased.  Also covers the cost model and cost-scaled
 // straggler deadline, the pull pool's makespan win over static shards on a skewed
@@ -190,27 +190,26 @@ TEST_F(DispatchTest, WarmStartedExperimentReproducesTheSnapshotExactly) {
 // --- dispatch equivalence ----------------------------------------------------------
 
 TEST_F(DispatchTest, InProcessDispatchMatchesMonolithicForAnyWorkerCount) {
+  // Every worker is slowed so the 18-unit plan outlasts worker start-up: until the
+  // first result seeds the cost model, leases stay small (one unit at K=5), so each
+  // of the K workers is granted one before the early ones can drain the plan.
+  constexpr int kDelayMs = 40;
   for (const int workers : {1, 2, 5}) {
-    for (const LeaseMode mode : {LeaseMode::kPull, LeaseMode::kStatic}) {
-      for (const ShardStrategy strategy :
-           {ShardStrategy::kRoundRobin, ShardStrategy::kCostWeighted}) {
-        InProcessTransport transport;
-        DispatchOptions options;
-        options.num_workers = workers;
-        options.lease_mode = mode;
-        options.strategy = strategy;
-        std::string csv;
-        DispatchStats stats;
-        const serde::Status s = Dispatch(transport, options, &csv, &stats);
-        ASSERT_TRUE(s.ok) << s.message;
-        EXPECT_EQ(csv, *monolithic_csv_)
-            << "workers=" << workers << " mode=" << static_cast<int>(mode)
-            << " strategy=" << ShardStrategyName(strategy);
-        EXPECT_EQ(stats.workers_launched, workers);
-        EXPECT_EQ(stats.worker_failures, 0);
-        EXPECT_GE(stats.leases_granted, mode == LeaseMode::kPull ? workers : 1);
-      }
+    InProcessTransport::Options in_options;
+    for (int w = 0; w < workers; ++w) {
+      in_options.delay_per_result[w] = kDelayMs;
     }
+    InProcessTransport transport(in_options);
+    DispatchOptions options;
+    options.num_workers = workers;
+    std::string csv;
+    DispatchStats stats;
+    const serde::Status s = Dispatch(transport, options, &csv, &stats);
+    ASSERT_TRUE(s.ok) << s.message;
+    EXPECT_EQ(csv, *monolithic_csv_) << "workers=" << workers;
+    EXPECT_EQ(stats.workers_launched, workers);
+    EXPECT_EQ(stats.worker_failures, 0);
+    EXPECT_GE(stats.leases_granted, workers);
   }
 }
 
@@ -398,37 +397,37 @@ TEST(EffectiveLeaseDeadlineTest, StretchesForLongUnitsAndFallsBackToFlat) {
 
 TEST_F(DispatchTest, PullLeasesBeatStaticShardsOnASkewedFleet) {
   // Worker 0 simulates a machine ~an order of magnitude slower than worker 1.
-  // Static LPT cannot know that — it splits cost evenly and the slow worker grinds
-  // through half the plan.  The pull pool only ever exposes the slow worker to
-  // small leases, and the fast worker drains the rest.  This is the tentpole's
-  // makespan claim, asserted with a wide margin so CI noise cannot flake it.
+  // Static LPT cannot know that — it splits cost evenly, and whichever shard the
+  // slow worker holds it sleeps through whole, so a static makespan is at least
+  // kDelayMs x the smaller LPT shard's unit count.  The pull pool only ever exposes
+  // the slow worker to small leases, and the fast worker drains the rest.  Asserted
+  // with a wide margin so CI noise cannot flake it.
   constexpr int kDelayMs = 80;
-  const auto run = [&](LeaseMode mode, DispatchStats* stats) {
-    InProcessTransport::Options in_options;
-    in_options.delay_per_result = {{0, kDelayMs}};
-    InProcessTransport transport(in_options);
-    DispatchOptions options;
-    options.num_workers = 2;
-    options.lease_mode = mode;
-    options.strategy = ShardStrategy::kCostWeighted;  // static = the LPT baseline
-    std::string csv;
-    const serde::Status s = Dispatch(transport, options, &csv, stats);
-    ASSERT_TRUE(s.ok) << s.message;
-    EXPECT_EQ(csv, *monolithic_csv_);
-  };
+  const std::vector<std::vector<SweepUnit>> shards =
+      PartitionPlan(*plan_, 2, ShardStrategy::kCostWeighted);
+  size_t min_shard = plan_->units.size();
+  for (const std::vector<SweepUnit>& shard : shards) {
+    min_shard = std::min(min_shard, shard.size());
+  }
+  const double lpt_floor_ms = kDelayMs * static_cast<double>(min_shard);
+
+  InProcessTransport::Options in_options;
+  in_options.delay_per_result = {{0, kDelayMs}};
+  InProcessTransport transport(in_options);
+  DispatchOptions options;
+  options.num_workers = 2;
+  std::string csv;
   DispatchStats pull;
-  DispatchStats lpt;
-  run(LeaseMode::kPull, &pull);
-  run(LeaseMode::kStatic, &lpt);
-  // Static: the slow worker sleeps through ~half the plan's cost (>= 8 units x
-  // 80 ms).  Pull: it only ever holds its small warm-up lease(s).  The margin was
-  // 0.75 when lease sizing used one fleet-wide rate; per-worker rates keep the slow
-  // machine's leases proportionally smaller, so the bound tightens.
-  EXPECT_LT(pull.elapsed_ms, 0.65 * lpt.elapsed_ms)
+  const serde::Status s = Dispatch(transport, options, &csv, &pull);
+  ASSERT_TRUE(s.ok) << s.message;
+  EXPECT_EQ(csv, *monolithic_csv_);
+  // Pull: the slow worker only ever holds its small warm-up lease(s).  The margin
+  // was 0.75 when lease sizing used one fleet-wide rate; per-worker rates keep the
+  // slow machine's leases proportionally smaller, so the bound tightens.
+  EXPECT_LT(pull.elapsed_ms, 0.65 * lpt_floor_ms)
       << "pull pool did not beat static LPT on a skewed fleet";
-  EXPECT_GT(pull.leases_granted, lpt.leases_granted);
+  EXPECT_GT(pull.leases_granted, static_cast<int>(shards.size()));
   EXPECT_EQ(pull.worker_failures, 0);
-  EXPECT_EQ(lpt.worker_failures, 0);
 }
 
 TEST_F(DispatchTest, PerWorkerRatesTrackEachMachineOnAHeterogeneousFleet) {
@@ -577,7 +576,6 @@ TEST_F(DispatchTest, RandomizedScheduleMatrixMergesByteIdenticallyForAllK) {
       InProcessTransport transport(in_options);
       DispatchOptions options;
       options.num_workers = workers;
-      options.lease_mode = LeaseMode::kPull;
       options.enable_steal = true;
       options.target_lease_ms = 25;  // small leases: lots of grants and steals
       options.straggler_deadline_ms = 250;

@@ -3,7 +3,6 @@
 
 #include "src/harness/constraint_grid.h"
 #include "src/harness/evaluation.h"
-#include "src/common/parallel.h"
 #include "src/harness/schemes.h"
 #include "src/harness/static_oracle.h"
 
@@ -207,26 +206,6 @@ TEST(EvaluationTest, CellEvaluationProducesCoherentStats) {
 TEST(EvaluationTest, FindReturnsNullForMissingScheme) {
   CellResult cell;
   EXPECT_EQ(cell.Find(SchemeId::kAlert), nullptr);
-}
-
-// --- ParallelFor ---
-
-TEST(ParallelForTest, VisitsEveryIndexExactlyOnce) {
-  std::vector<std::atomic<int>> counts(500);
-  ParallelFor(500, [&](int i) { counts[static_cast<size_t>(i)].fetch_add(1); }, 8);
-  for (const auto& c : counts) {
-    EXPECT_EQ(c.load(), 1);
-  }
-}
-
-TEST(ParallelForTest, SingleThreadFallback) {
-  int sum = 0;
-  ParallelFor(10, [&](int i) { sum += i; }, 1);
-  EXPECT_EQ(sum, 45);
-}
-
-TEST(ParallelForTest, ZeroCountIsNoop) {
-  ParallelFor(0, [](int) { FAIL(); });
 }
 
 }  // namespace

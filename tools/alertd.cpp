@@ -25,13 +25,12 @@ namespace {
 [[noreturn]] void Usage(const char* argv0) {
   std::printf(
       "usage: %s [--port=N] [--port-file=PATH] [--budget=W] [--platform=NAME]\n"
-      "          [--policy=proportional|slack] [--cache=off|exact] [--log=PATH]\n"
+      "          [--policy=proportional|slack] [--log=PATH]\n"
       "  --port=N        listen port (default 0 = ephemeral)\n"
       "  --port-file=PATH  write the bound port here once listening\n"
       "  --budget=W      total power budget in watts (default 100)\n"
       "  --platform=NAME embedded|cpu1|cpu2|gpu (default cpu1)\n"
       "  --policy=NAME   budget split policy (default proportional)\n"
-      "  --cache=MODE    decision cache mode (default exact)\n"
       "  --log=PATH      event log file (serde records, default: none)\n",
       argv0);
   std::exit(2);
@@ -87,14 +86,6 @@ int main(int argc, char** argv) {
         options.policy = AllocationPolicy::kSlackRecycling;
       } else {
         Fail("unknown policy '" + *v + "'");
-      }
-    } else if (auto v = ArgValue(arg, "--cache")) {
-      if (*v == "off") {
-        options.cache_policy.mode = DecisionCacheMode::kOff;
-      } else if (*v == "exact") {
-        options.cache_policy.mode = DecisionCacheMode::kExact;
-      } else {
-        Fail("unknown cache mode '" + *v + "'");
       }
     } else if (auto v = ArgValue(arg, "--log")) {
       options.event_log_path = *v;

@@ -54,17 +54,13 @@ namespace {
       "  --worker-cmd=TEMPLATE  shell command per worker for the command and socket\n"
       "                         transports; {worker} expands to the launch index and\n"
       "                         {port} (socket) to the dispatcher's TCP port\n"
-      "  --static-leases        grant whole static shards once (the pre-pull\n"
-      "                         baseline): no stealing, no cost-fed sizing\n"
-      "  --strategy=round-robin|cost-weighted   static-lease partition (default\n"
-      "                         round-robin; pull leases are plan-order prefixes)\n"
-      "  --target-lease-ms=N    pull mode: size each lease to ~N ms of predicted\n"
-      "                         work (default 1000)\n"
-      "  --max-lease-units=N    pull mode: hard cap on units per lease (default 64)\n"
+      "  --target-lease-ms=N    size each lease to ~N ms of predicted work\n"
+      "                         (default 1000)\n"
+      "  --max-lease-units=N    hard cap on units per lease (default 64)\n"
       "  --initial-cost-rate=R  seed the cost model at R ms per cost point instead\n"
       "                         of learning from the first results (default 0 = learn)\n"
       "  --no-steal             disable lease stealing for idle workers\n"
-      "  --pipeline-leases      pull mode: send each worker its next lease while the\n"
+      "  --pipeline-leases      send each worker its next lease while the\n"
       "                         current one drains (hides the request/grant round\n"
       "                         trip on ssh-style transports)\n"
       "  --checkpoint-dir=DIR   periodically checkpoint merged results to\n"
@@ -197,15 +193,8 @@ int main(int argc, char** argv) {
       worker_bin = *v;
     } else if (auto v = ArgValue(arg, "--worker-cmd")) {
       worker_cmd = *v;
-    } else if (auto v = ArgValue(arg, "--strategy")) {
-      const serde::Status s = ParseShardStrategy(*v, &options.strategy);
-      if (!s) {
-        Fail(s.message);
-      }
     } else if (auto v = ArgValue(arg, "--worker-threads")) {
       worker_threads = ParseIntOrDie(*v, "--worker-threads");
-    } else if (std::strcmp(arg, "--static-leases") == 0) {
-      options.lease_mode = LeaseMode::kStatic;
     } else if (auto v = ArgValue(arg, "--target-lease-ms")) {
       options.target_lease_ms = ParseIntOrDie(*v, "--target-lease-ms");
     } else if (auto v = ArgValue(arg, "--max-lease-units")) {
