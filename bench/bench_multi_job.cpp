@@ -6,8 +6,12 @@
 // The budget is set to 60% of the jobs' unconstrained desire so the scaling pass
 // always runs — the regime coordination exists for.  SharedFamily puts every job on
 // one candidate family (the paper's shared-server case); Heterogeneous spreads K
-// jobs over six distinct (task, candidate-set) families.  Derived metrics (ratios)
-// feed the perf-trajectory gate — see bench/trajectory/.
+// jobs over six distinct (task, candidate-set) families.  The membership cases time
+// one arrival plus one departure at K=64 heterogeneous jobs: rebuilt (every belief
+// exported, a fresh coordinator constructed, every belief restored, per change — the
+// offline replayer's path) vs. incremental (AddJob + RemoveJobs on live schedulers,
+// the daemon's path).  Derived metrics (ratios) feed the perf-trajectory gate — see
+// bench/trajectory/.
 #include <limits>
 #include <memory>
 #include <string>
@@ -137,7 +141,6 @@ struct HeterogeneousFixture {
         families.push_back(std::move(family));
       }
     }
-    std::vector<JobSpec> specs;
     Watts desired = 0.0;
     for (int j = 0; j < k; ++j) {
       const ConfigSpace* space = families[static_cast<size_t>(j) % families.size()]
@@ -149,7 +152,16 @@ struct HeterogeneousFixture {
       desired += probe.Decide(requests.back()).power_cap;
     }
     budget = 0.6 * desired;
-    coordinator = std::make_unique<MultiJobCoordinator>(std::move(specs), budget);
+    coordinator = std::make_unique<MultiJobCoordinator>(specs, budget);
+  }
+
+  // The churn one hello/bye pair causes: the oldest job departs and rejoins last.
+  // `specs` tracks the coordinator's job order.
+  JobSpec RotateSpecs() {
+    JobSpec next = specs.front();
+    specs.erase(specs.begin());
+    specs.push_back(next);
+    return next;
   }
 
   struct FamilyStack {
@@ -158,6 +170,7 @@ struct HeterogeneousFixture {
     std::unique_ptr<ConfigSpace> space;
   };
   std::vector<std::unique_ptr<FamilyStack>> families;
+  std::vector<JobSpec> specs;
   std::vector<InferenceRequest> requests;
   std::unique_ptr<MultiJobCoordinator> coordinator;
   Watts budget = 0.0;
@@ -170,6 +183,46 @@ void RunHeterogeneous(bench::Harness& h, int k) {
   h.RunCase("batched_round_heterogeneous_k" + std::to_string(k), [&] {
     f.coordinator->DecideRoundInto(f.requests, &decisions);
     bench::DoNotOptimize(decisions.data());
+  });
+}
+
+// Replaces the coordinator with a fresh one over `specs`, transplanting the beliefs
+// of every current job except `removed` (-1: none) into the leading jobs.
+void RebuildWithBeliefs(HeterogeneousFixture& f, const std::vector<JobSpec>& specs,
+                        int removed, std::vector<BeliefState>& beliefs) {
+  beliefs.clear();
+  for (int j = 0; j < f.coordinator->num_jobs(); ++j) {
+    if (j != removed) {
+      beliefs.push_back(f.coordinator->job(j).ExportBelief());
+    }
+  }
+  f.coordinator = std::make_unique<MultiJobCoordinator>(specs, f.budget);
+  for (size_t j = 0; j < beliefs.size(); ++j) {
+    f.coordinator->job(static_cast<int>(j)).RestoreBelief(beliefs[j]);
+  }
+}
+
+double RunMembershipRebuild(bench::Harness& h, int k) {
+  HeterogeneousFixture f(k);
+  std::vector<BeliefState> beliefs;
+  std::vector<JobSpec> arrived;
+  return h.RunCase("membership_rebuild_k" + std::to_string(k), [&] {
+    arrived = f.specs;
+    const JobSpec next = f.RotateSpecs();
+    arrived.push_back(next);
+    RebuildWithBeliefs(f, arrived, -1, beliefs);  // hello
+    RebuildWithBeliefs(f, f.specs, 0, beliefs);   // bye of the oldest
+    bench::DoNotOptimize(f.coordinator.get());
+  });
+}
+
+double RunMembershipAddRemove(bench::Harness& h, int k) {
+  HeterogeneousFixture f(k);
+  const int oldest[] = {0};
+  return h.RunCase("membership_add_remove_k" + std::to_string(k), [&] {
+    f.coordinator->AddJob(f.RotateSpecs());
+    f.coordinator->RemoveJobs(oldest);
+    bench::DoNotOptimize(f.coordinator.get());
   });
 }
 
@@ -202,9 +255,12 @@ int Main(int argc, char** argv) {
   RunHeterogeneous(h, 8);
   RunHeterogeneous(h, 16);
   RunHeterogeneous(h, 64);
+  const double rebuild_k64 = RunMembershipRebuild(h, 64);
+  const double add_remove_k64 = RunMembershipAddRemove(h, 64);
 
   h.Derive("batched_round_speedup_k16", loop_k16 / batched_k16);
   h.Derive("batched_round_speedup_k64", loop_k64 / batched_k64);
+  h.Derive("membership_change_speedup_k64", rebuild_k64 / add_remove_k64);
   return h.Finish();
 }
 

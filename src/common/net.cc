@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <errno.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
@@ -31,6 +32,18 @@ int RemainingMs(int timeout_ms, Clock::time_point deadline) {
   const auto remaining =
       std::chrono::duration_cast<std::chrono::milliseconds>(deadline - Clock::now());
   return remaining.count() > 0 ? static_cast<int>(remaining.count()) : 0;
+}
+
+// Turns off Nagle's algorithm on a connected stream socket (see net.h); closes the
+// fd on failure so callers never hold a half-configured socket.
+serde::Status SetNoDelay(int fd) {
+  const int one = 1;
+  if (::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) != 0) {
+    const serde::Status s = ErrnoError("setsockopt(TCP_NODELAY)");
+    ::close(fd);
+    return s;
+  }
+  return serde::Ok();
 }
 
 }  // namespace
@@ -218,6 +231,9 @@ serde::Status AcceptWithTimeout(int listen_fd, int timeout_ms, int* conn_fd) {
       }
       return ErrnoError("accept");
     }
+    if (serde::Status s = SetNoDelay(fd); !s) {
+      return s;
+    }
     *conn_fd = fd;
     return serde::Ok();
   }
@@ -242,6 +258,9 @@ serde::Status ConnectTcp(const std::string& host, int port, int* conn_fd) {
     }
     const serde::Status s = ErrnoError("connect " + host + ":" + std::to_string(port));
     ::close(fd);
+    return s;
+  }
+  if (serde::Status s = SetNoDelay(fd); !s) {
     return s;
   }
   *conn_fd = fd;

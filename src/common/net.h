@@ -20,6 +20,13 @@
 // The TCP helpers bind 127.0.0.1 only: the wire protocol is unauthenticated, so
 // the socket transport is strictly a localhost/e2e affair (reach real remote
 // machines through the ssh command template instead).
+//
+// Every socket ConnectTcp returns or AcceptWithTimeout accepts has TCP_NODELAY set.
+// A line protocol writes small records back to back — alertd's ack-then-decision
+// reply pair, a round's burst of decisions, a lease grant after its ack — and with
+// Nagle's algorithm on, the second small write waits for the peer's delayed ACK,
+// about 40 ms on Linux, on every exchange.  Each line is already one write(), so
+// there is nothing for Nagle to coalesce.
 #ifndef SRC_COMMON_NET_H_
 #define SRC_COMMON_NET_H_
 
@@ -82,9 +89,11 @@ class LineChannel {
 serde::Status ListenLocalhost(int* listen_fd, int* out_port);
 
 // Accepts one connection, waiting up to timeout_ms (deadline-correct, as above).
+// The accepted socket has TCP_NODELAY set.
 serde::Status AcceptWithTimeout(int listen_fd, int timeout_ms, int* conn_fd);
 
-// Connects to host:port (numeric IPv4 host, e.g. "127.0.0.1").
+// Connects to host:port (numeric IPv4 host, e.g. "127.0.0.1").  The socket has
+// TCP_NODELAY set.
 serde::Status ConnectTcp(const std::string& host, int port, int* conn_fd);
 
 // Splits "HOST:PORT"; errors on a missing colon or a non-numeric/out-of-range port.

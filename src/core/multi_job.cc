@@ -19,39 +19,87 @@ MultiJobCoordinator::MultiJobCoordinator(std::vector<JobSpec> jobs,
                                          Watts total_power_budget,
                                          AllocationPolicy policy)
     : total_power_budget_(total_power_budget), policy_(policy) {
-  ALERT_CHECK(!jobs.empty());
   ALERT_CHECK(total_power_budget > 0.0);
   for (JobSpec& spec : jobs) {
-    ALERT_CHECK(spec.space != nullptr);
-    // Jobs over the same candidate family share one scoring engine: the engine is
-    // immutable after construction, so a whole family can be scored as one batch and
-    // scanned concurrently.  Families are kept in first-appearance order so iteration
-    // is deterministic across runs and platforms (a pointer-keyed map was not).
-    int family = -1;
-    for (size_t f = 0; f < families_.size(); ++f) {
-      if (families_[f].space == spec.space) {
-        family = static_cast<int>(f);
-        break;
-      }
-    }
-    if (family < 0) {
-      family = static_cast<int>(families_.size());
-      Family fam;
-      fam.space = spec.space;
-      fam.engine = std::make_shared<DecisionEngine>(*spec.space);
-      families_.push_back(std::move(fam));
-    }
-
-    Job job;
-    job.name = std::move(spec.name);
-    job.space = spec.space;
-    job.scheduler = std::make_unique<AlertScheduler>(*families_[family].engine,
-                                                     spec.goals, spec.options);
-    job.family = family;
-    job.slot = static_cast<int>(families_[family].jobs.size());
-    families_[family].jobs.push_back(static_cast<int>(jobs_.size()));
-    jobs_.push_back(std::move(job));
+    AddJob(std::move(spec));
   }
+}
+
+int MultiJobCoordinator::AddJob(JobSpec spec) {
+  ALERT_CHECK(spec.space != nullptr);
+  // Jobs over the same candidate family share one scoring engine: the engine is
+  // immutable after construction, so a whole family can be scored as one batch.
+  // Families are kept in first-appearance order so iteration is deterministic across
+  // runs and platforms (a pointer-keyed map was not); the new job is the last, so a
+  // family it opens is the last to appear.
+  int family = -1;
+  for (size_t f = 0; f < families_.size(); ++f) {
+    if (families_[f].space == spec.space) {
+      family = static_cast<int>(f);
+      break;
+    }
+  }
+  if (family < 0) {
+    family = static_cast<int>(families_.size());
+    Family fam;
+    fam.space = spec.space;
+    fam.engine = std::make_shared<DecisionEngine>(*spec.space);
+    families_.push_back(std::move(fam));
+  }
+
+  Job job;
+  job.name = std::move(spec.name);
+  job.space = spec.space;
+  job.scheduler = std::make_unique<AlertScheduler>(*families_[family].engine,
+                                                   spec.goals, spec.options);
+  job.family = family;
+  job.slot = static_cast<int>(families_[family].jobs.size());
+  families_[family].jobs.push_back(static_cast<int>(jobs_.size()));
+  jobs_.push_back(std::move(job));
+  return num_jobs() - 1;
+}
+
+void MultiJobCoordinator::RemoveJobs(std::span<const int> indices) {
+  // Compact the survivors in place: their schedulers move, they are not rebuilt.
+  size_t cut = 0;
+  size_t keep = 0;
+  for (size_t j = 0; j < jobs_.size(); ++j) {
+    if (cut < indices.size() && indices[cut] == static_cast<int>(j)) {
+      ++cut;
+      continue;
+    }
+    if (keep != j) {
+      jobs_[keep] = std::move(jobs_[j]);
+    }
+    ++keep;
+  }
+  // An out-of-range, duplicate or descending index is never matched.
+  ALERT_CHECK(cut == indices.size());
+  jobs_.erase(jobs_.begin() + static_cast<std::ptrdiff_t>(keep), jobs_.end());
+
+  // Regroup in first-appearance order over the survivors.  Removing a family's first
+  // job can move it behind a later family; each family carries its engine (which
+  // its jobs' schedulers point into) and its warm scratch to the new position.
+  std::vector<Family> old = std::move(families_);
+  families_.clear();
+  std::vector<int> moved_to(old.size(), -1);
+  for (size_t j = 0; j < jobs_.size(); ++j) {
+    Job& job = jobs_[j];
+    int& f = moved_to[static_cast<size_t>(job.family)];
+    if (f < 0) {
+      f = static_cast<int>(families_.size());
+      families_.push_back(std::move(old[static_cast<size_t>(job.family)]));
+      families_.back().jobs.clear();
+    }
+    job.family = f;
+    job.slot = static_cast<int>(families_[static_cast<size_t>(f)].jobs.size());
+    families_[static_cast<size_t>(f)].jobs.push_back(static_cast<int>(j));
+  }
+}
+
+int MultiJobCoordinator::family_of(int index) const {
+  ALERT_CHECK(index >= 0 && index < num_jobs());
+  return jobs_[static_cast<size_t>(index)].family;
 }
 
 AlertScheduler& MultiJobCoordinator::job(int index) {

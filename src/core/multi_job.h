@@ -23,6 +23,13 @@
 // Measurements feed back into each job's own filters (ObserveRound); the global-
 // slowdown mechanism is untouched, exactly as the paper anticipates ("we expect the
 // main idea of ALERT ... to still apply").
+//
+// Membership is incremental: AddJob appends a job with a fresh scheduler and
+// RemoveJobs drops jobs, and neither touches a surviving job's scheduler or its
+// family's engine.  Jobs stay in admission order and families are regrouped in
+// first-appearance order, so after any sequence of changes the coordinator decides
+// exactly as one freshly constructed over the same jobs with every belief
+// transplanted through ExportBelief/RestoreBelief (the BeliefState contract).
 #ifndef SRC_CORE_MULTI_JOB_H_
 #define SRC_CORE_MULTI_JOB_H_
 
@@ -51,13 +58,26 @@ enum class AllocationPolicy : int {
 
 class MultiJobCoordinator {
  public:
+  // Equivalent to AddJob over `jobs` in order.  `jobs` may be empty.
   MultiJobCoordinator(std::vector<JobSpec> jobs, Watts total_power_budget,
                       AllocationPolicy policy = AllocationPolicy::kProportional);
+
+  // Appends a job with a freshly constructed scheduler (default prior) and returns
+  // its index, num_jobs() - 1.  Joins the family of its ConfigSpace, or opens a new
+  // last family.  Every other job's scheduler and engine is kept as is.
+  int AddJob(JobSpec spec);
+  // Removes the jobs at `indices` (strictly ascending, in range).  Survivors keep
+  // their schedulers and their relative order; families are regrouped in
+  // first-appearance order over the survivors, keeping their engines, and a family
+  // left without jobs is dropped.  May leave the coordinator with no jobs.
+  void RemoveJobs(std::span<const int> indices);
 
   int num_jobs() const { return static_cast<int>(jobs_.size()); }
   // Distinct candidate families, in first-appearance job order (deterministic across
   // runs and platforms; jobs over the same ConfigSpace share one scoring engine).
   int num_families() const { return static_cast<int>(families_.size()); }
+  // The family job `index` is scored in, in [0, num_families()).
+  int family_of(int index) const;
   Watts total_power_budget() const { return total_power_budget_; }
   // Online budget reconfiguration (a shared package limit raised or lowered while
   // jobs run, e.g. the daemon's `limit-set` verb).  The budget is read afresh every

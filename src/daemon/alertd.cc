@@ -397,9 +397,8 @@ std::string FormatStatsLine(const AlertdStats& stats, size_t ring_capacity) {
 AlertdCore::AlertdCore(const AlertdOptions& options)
     : options_(options),
       stacks_(options.platform, options.stack_seed),
-      log_(options.event_ring_capacity, options.event_log_path) {
-  ALERT_CHECK(options_.total_power_budget > 0.0);
-}
+      log_(options.event_ring_capacity, options.event_log_path),
+      coordinator_({}, options.total_power_budget, options.policy) {}
 
 AlertdCore::~AlertdCore() { Shutdown(); }
 
@@ -498,7 +497,7 @@ std::string AlertdCore::HandleHello(int session, serde::RecordReader& reader) {
   const Stack& stack =
       stacks_.Get(static_cast<TaskId>(task), static_cast<DnnSetChoice>(dnn_set));
   if (!AdmissionAllows(AdmittedFloorSum(), MinPowerFloor(stack.space()),
-                       options_.total_power_budget)) {
+                       coordinator_.total_power_budget())) {
     ++counters_.rejected;
     log_.Push(Event{.type = Event::Type::kReject, .round = round_, .tenant = -1});
     return FormatErrorLine("tenant-hello", "admission");
@@ -513,16 +512,15 @@ std::string AlertdCore::HandleHello(int session, serde::RecordReader& reader) {
   tenant.session = session;
   tenant.id = next_tenant_id_++;
 
-  // Transplant every existing tenant's belief across the rebuild; the newcomer
-  // starts from the default prior.
-  std::vector<std::optional<BeliefState>> beliefs;
-  beliefs.reserve(tenants_.size() + 1);
-  for (size_t i = 0; i < tenants_.size(); ++i) {
-    beliefs.push_back(coordinator_->job(static_cast<int>(i)).ExportBelief());
-  }
-  beliefs.push_back(std::nullopt);
+  // The newcomer joins last with the default prior; every other tenant keeps its
+  // live scheduler.
+  JobSpec spec;
+  spec.name = name;
+  spec.space = &stack.space();
+  spec.goals = goals;
+  coordinator_.AddJob(std::move(spec));
   tenants_.push_back(std::move(tenant));
-  RebuildCoordinator(beliefs);
+  ++counters_.rebuilds;
 
   ++counters_.admitted;
   log_.Push(Event{.type = Event::Type::kAdmit,
@@ -549,8 +547,8 @@ std::string AlertdCore::HandleGoalSet(serde::RecordReader& reader) {
   if (index < 0) {
     return Error("goal-set", "unknown-tenant");
   }
-  // No rebuild and no round dropped: SetJobGoals swaps the live scheduler's goals.
-  coordinator_->SetJobGoals(index, goals);
+  // No round dropped: SetJobGoals swaps the live scheduler's goals.
+  coordinator_.SetJobGoals(index, goals);
   tenants_[static_cast<size_t>(index)].config.goals = goals;
   ++counters_.goal_sets;
   log_.Push(Event{.type = Event::Type::kGoalSet,
@@ -574,10 +572,7 @@ std::string AlertdCore::HandleLimitSet(serde::RecordReader& reader) {
   // Takes effect on the next round; admission of FUTURE tenants also checks
   // against it.  Already-admitted tenants are never evicted by a budget drop —
   // the allocator scales their grants down instead.
-  options_.total_power_budget = budget;
-  if (coordinator_ != nullptr) {
-    coordinator_->set_total_power_budget(budget);
-  }
+  coordinator_.set_total_power_budget(budget);
   ++counters_.limit_sets;
   log_.Push(Event{
       .type = Event::Type::kLimitSet, .round = round_, .tenant = -1, .d0 = budget});
@@ -681,7 +676,7 @@ std::string AlertdCore::HandleBelieveSnapshot(int session,
     return Error("belief-snapshot", "not-owner");
   }
   BeliefRecord record;
-  record.belief = coordinator_->job(index).ExportBelief();
+  record.belief = coordinator_.job(index).ExportBelief();
   record.has_decision = tenant.has_decision;
   record.decision = tenant.last_decision;
   return FormatBeliefLine("belief", name, record);
@@ -710,7 +705,7 @@ std::string AlertdCore::HandleBeliefRestore(int session, serde::RecordReader& re
       !s) {
     return Error("belief-restore", "invalid-belief", s.message);
   }
-  coordinator_->job(index).RestoreBelief(record.belief);
+  coordinator_.job(index).RestoreBelief(record.belief);
   tenant.has_decision = record.has_decision;
   tenant.last_decision = record.decision;
   tenant.ticks = record.ticks();
@@ -760,8 +755,6 @@ void AlertdCore::OnSessionClosed(int session, std::vector<Outgoing>* out) {
 }
 
 void AlertdCore::RemoveTenants(const std::vector<int>& indices) {
-  // Export survivors' beliefs before the old coordinator (and its schedulers) die.
-  std::vector<std::optional<BeliefState>> beliefs;
   std::vector<Tenant> survivors;
   size_t cut = 0;
   for (size_t i = 0; i < tenants_.size(); ++i) {
@@ -776,37 +769,12 @@ void AlertdCore::RemoveTenants(const std::vector<int>& indices) {
                       .i0 = tenants_[i].ticks});
       continue;
     }
-    beliefs.push_back(coordinator_->job(static_cast<int>(i)).ExportBelief());
     survivors.push_back(std::move(tenants_[i]));
   }
   tenants_ = std::move(survivors);
-  RebuildCoordinator(beliefs);
-}
-
-void AlertdCore::RebuildCoordinator(
-    const std::vector<std::optional<BeliefState>>& beliefs) {
-  ALERT_CHECK(beliefs.size() == tenants_.size());
-  coordinator_.reset();
+  // Survivors keep their live schedulers, in the same order as tenants_.
+  coordinator_.RemoveJobs(indices);
   ++counters_.rebuilds;
-  if (tenants_.empty()) {
-    return;
-  }
-  std::vector<JobSpec> specs;
-  specs.reserve(tenants_.size());
-  for (const Tenant& t : tenants_) {
-    JobSpec spec;
-    spec.name = t.config.name;
-    spec.space = &t.stack->space();
-    spec.goals = t.config.goals;
-    specs.push_back(std::move(spec));
-  }
-  coordinator_ = std::make_unique<MultiJobCoordinator>(
-      std::move(specs), options_.total_power_budget, options_.policy);
-  for (size_t i = 0; i < tenants_.size(); ++i) {
-    if (beliefs[i].has_value()) {
-      coordinator_->job(static_cast<int>(i)).RestoreBelief(*beliefs[i]);
-    }
-  }
 }
 
 void AlertdCore::MaybeFireRound(std::vector<Outgoing>* out) {
@@ -824,14 +792,14 @@ void AlertdCore::MaybeFireRound(std::vector<Outgoing>* out) {
   for (int i = 0; i < k; ++i) {
     Tenant& t = tenants_[static_cast<size_t>(i)];
     if (t.pending_has_measurement) {
-      coordinator_->job(i).Observe(t.last_decision, t.pending_measurement);
+      coordinator_.job(i).Observe(t.last_decision, t.pending_measurement);
     }
   }
   round_requests_.clear();
   for (int i = 0; i < k; ++i) {
     round_requests_.push_back(tenants_[static_cast<size_t>(i)].pending_request);
   }
-  coordinator_->DecideRoundInto(round_requests_, &round_decisions_);
+  coordinator_.DecideRoundInto(round_requests_, &round_decisions_);
 
   for (int i = 0; i < k; ++i) {
     Tenant& t = tenants_[static_cast<size_t>(i)];

@@ -56,12 +56,14 @@
 // the daemon and the replayer:
 //   * profiles: StackCache builds stacks with profile_noise_sigma=0 from one fixed
 //     seed, so daemon-side and client-side ConfigSpaces are bit-identical;
-//   * membership: tenants enter the coordinator in admission order; arrivals and
-//     departures REBUILD the coordinator (it owns its schedulers) and transplant
-//     every surviving tenant's learned state via AlertScheduler::ExportBelief /
-//     RestoreBelief — exact struct copies, so decisions are unchanged;
-//   * goal/limit changes do NOT rebuild: they route through SetJobGoals and
-//     set_total_power_budget;
+//   * membership: tenants enter the coordinator in admission order; an arrival is
+//     one MultiJobCoordinator::AddJob and departures are one RemoveJobs, both of
+//     which keep every surviving tenant's live scheduler and family engine.  The
+//     offline replayer instead REBUILDS its coordinator on every membership change
+//     and transplants each survivor's learned state via ExportBelief /
+//     RestoreBelief — exact struct copies, so the two agree bit for bit, and the
+//     replayer stays an independent check of the incremental path;
+//   * goal/limit changes route through SetJobGoals and set_total_power_budget;
 //   * belief persistence: the `belief` record serializes BeliefState through
 //     serde's %.17g exact-double round-trip, so a reconnecting tenant restores the
 //     same bits it exported.
@@ -80,7 +82,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -188,8 +189,9 @@ class StackCache {
   StackCache(PlatformId platform, uint64_t seed);
 
   // Builds on first use (profile_noise_sigma = 0); the reference lives as long as
-  // the cache.  Stacks survive coordinator rebuilds, so profiling happens once per
-  // (task, dnn_set) over the daemon's whole lifetime.
+  // the cache.  Stacks outlive every membership change (and the replayer's
+  // coordinator rebuilds), so profiling happens once per (task, dnn_set) over the
+  // daemon's whole lifetime.
   const Stack& Get(TaskId task, DnnSetChoice dnn_set);
 
   PlatformId platform() const { return platform_; }
@@ -293,7 +295,7 @@ struct AlertdStats {
   uint64_t restores = 0;
   uint64_t goal_sets = 0;
   uint64_t limit_sets = 0;
-  uint64_t rebuilds = 0;
+  uint64_t rebuilds = 0;  // membership changes (hello, bye, session close)
   uint64_t parse_errors = 0;     // line did not parse as a record
   uint64_t protocol_errors = 0;  // parsed, but violated the session state machine
   DecisionCacheStats cache;  // always zero: kept only for perfbench's cache-hit metric
@@ -321,7 +323,7 @@ class AlertdCore {
   void HandleLine(int session, std::string_view line, std::vector<Outgoing>* out);
 
   // The session vanished without tenant-bye: evict every tenant it owns (one
-  // rebuild), then fire the round if the departures completed the barrier.
+  // RemoveJobs), then fire the round if the departures completed the barrier.
   void OnSessionClosed(int session, std::vector<Outgoing>* out);
 
   // Graceful drain: emits the `alertd-shutdown clean=1` event and blocks until the
@@ -361,10 +363,8 @@ class AlertdCore {
 
   int FindTenant(std::string_view name) const;  // -1 when absent
   Watts AdmittedFloorSum() const;
-  // Drops the current coordinator and rebuilds it over `tenants_` in admission
-  // order, transplanting the given per-tenant beliefs (nullopt = fresh tenant).
-  void RebuildCoordinator(const std::vector<std::optional<BeliefState>>& beliefs);
-  // Removes tenants_[indices] (ascending, already-validated), one rebuild total.
+  // Removes tenants_[indices] (ascending, already-validated) and their jobs, in
+  // one RemoveJobs; survivors keep their live schedulers.
   void RemoveTenants(const std::vector<int>& indices);
   // Fires the round if every tenant has a pending tick; appends `decision` lines.
   void MaybeFireRound(std::vector<Outgoing>* out);
@@ -375,7 +375,7 @@ class AlertdCore {
   StackCache stacks_;
   EventLog log_;
   std::vector<Tenant> tenants_;  // admission order == coordinator job order
-  std::unique_ptr<MultiJobCoordinator> coordinator_;  // null while no tenants
+  MultiJobCoordinator coordinator_;  // owns the budget; no jobs while no tenants
   int round_ = 0;
   int next_tenant_id_ = 0;
   bool shut_down_ = false;

@@ -11,10 +11,12 @@
 //     localhost TCP, one connection per live tenant (reconnect events really tear
 //     the connection down and dial again), and records every reply line verbatim;
 //   * ChurnReplayBackend  — the OFFLINE ORACLE: the same churn applied directly to a
-//     MultiJobCoordinator (rebuild-on-membership-change with BeliefState
-//     transplant, SetJobGoals / set_total_power_budget for reconfiguration — the
-//     same moves the daemon makes), formatting the lines the daemon WOULD send via
-//     the shared alertd.h formatters.
+//     MultiJobCoordinator, formatting the lines the daemon WOULD send via the shared
+//     alertd.h formatters.  Reconfiguration makes the daemon's moves (SetJobGoals /
+//     set_total_power_budget), but membership deliberately does not: the daemon
+//     calls AddJob / RemoveJobs on live schedulers, while the replayer rebuilds its
+//     coordinator on every change and transplants each BeliefState, so it checks
+//     the incremental path against an independent implementation.
 //
 // The interpreter owns everything both executions must agree on: membership
 // bookkeeping (including admission verdicts via the shared AdmissionAllows
@@ -29,6 +31,7 @@
 #define SRC_DAEMON_CHURN_SIM_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -210,8 +213,9 @@ class ChurnReplayBackend final : public ChurnBackend {
 
   int FindSlot(int tenant) const;  // -1 when absent
   Watts FloorSum() const;
-  // Mirror of the daemon's rebuild: retire the old coordinator, reconstruct over
-  // the slots in admission order, transplant the given beliefs.
+  // The membership change the daemon makes incrementally, done the independent
+  // way: retire the old coordinator, reconstruct over the slots in admission
+  // order, transplant the given beliefs.
   void Rebuild(const std::vector<std::optional<BeliefState>>& beliefs);
 
   const ChurnScript& script_;

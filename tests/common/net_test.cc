@@ -8,6 +8,9 @@
 #include "src/common/net.h"
 
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
 
@@ -200,6 +203,27 @@ TEST(TcpTest, ListenConnectAcceptRoundTripsBothDirections) {
   // Half-close: the server sees EOF but its write side still works until closed.
   client.CloseWrite();
   EXPECT_EQ(server.ReadLine(5000, &line), ReadStatus::kClosed);
+}
+
+// Both ends of every TCP line stream run without Nagle, or an ack-then-reply pair
+// stalls on the peer's delayed ACK (~40 ms).  Checked by option, not by timing.
+TEST(TcpTest, ConnectedAndAcceptedSocketsHaveNoDelaySet) {
+  int listen_fd = -1;
+  int port = 0;
+  ASSERT_TRUE(ListenLocalhost(&listen_fd, &port).ok);
+  int client_fd = -1;
+  ASSERT_TRUE(ConnectTcp("127.0.0.1", port, &client_fd).ok);
+  int server_fd = -1;
+  ASSERT_TRUE(AcceptWithTimeout(listen_fd, 5000, &server_fd).ok);
+  close(listen_fd);
+
+  for (const int fd : {client_fd, server_fd}) {
+    int value = 0;
+    socklen_t len = sizeof(value);
+    ASSERT_EQ(getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &value, &len), 0);
+    EXPECT_EQ(value, 1) << (fd == client_fd ? "ConnectTcp" : "AcceptWithTimeout");
+    close(fd);
+  }
 }
 
 TEST(TcpTest, AcceptTimesOutWhenNobodyConnects) {

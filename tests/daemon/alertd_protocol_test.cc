@@ -242,10 +242,13 @@ TEST_F(AlertdProtocolTest, SessionCloseEvictsItsTenantsAndCompletesTheBarrier) {
   auto out = Send(2, TickLine("t2", 0, goals.deadline));
   ASSERT_EQ(out.size(), 1u);  // ack only, no round yet
 
-  // Session 1 vanishes without tenant-bye: its tenants are evicted in one rebuild
-  // and the departure completes the barrier — t2's decision must come out.
+  // Session 1 vanishes without tenant-bye: its tenants are evicted in one
+  // membership change (`rebuilds` counts one) and the departure completes the
+  // barrier — t2's decision must come out.
+  const uint64_t changes_before = core_.stats().rebuilds;
   std::vector<Outgoing> replies;
   core_.OnSessionClosed(1, &replies);
+  EXPECT_EQ(core_.stats().rebuilds, changes_before + 1);
   EXPECT_EQ(core_.num_tenants(), 1);
   ASSERT_EQ(replies.size(), 1u);
   EXPECT_EQ(replies[0].session, 2);
